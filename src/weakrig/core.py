@@ -143,13 +143,15 @@ def collocation_tolerance(positions: np.ndarray) -> float:
 
 
 def min_separation(positions: np.ndarray) -> float:
-    """Smallest pairwise distance between the given points."""
+    """Smallest pairwise distance between the given points (``inf`` for one point)."""
+    positions = np.asarray(positions, float)
     n = positions.shape[0]
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, float(np.linalg.norm(positions[i] - positions[j])))
-    return best
+    if n < 2:
+        return math.inf
+    diff = positions[:, None, :] - positions[None, :, :]
+    sq = (diff * diff).sum(axis=-1)
+    sq.flat[:: n + 1] = math.inf  # a point's distance to itself
+    return math.sqrt(sq.min())
 
 
 @dataclass(frozen=True)

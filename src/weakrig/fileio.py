@@ -7,6 +7,8 @@ locale-independent formatting with 17 significant digits for CSV floats.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import tempfile
 
@@ -19,12 +21,21 @@ from .henneberg import ExtensionStep
 from .rigidity import RigidityReport
 
 
+def _default_file_mode() -> int:
+    """Mode ``open()`` would give a new file: ``0o666`` less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain write would.
+        os.chmod(tmp, _default_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,6 +51,25 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _indices(entry, where: str) -> tuple[int, ...]:
+    """Vertex indices of a parsed entry; integral floats such as ``1.0`` pass."""
+    for v in entry:
+        if not _is_number(v) or not (isinstance(v, numbers.Integral) or float(v).is_integer()):
+            raise ParseError(f"{where} has a non-integer vertex index {v!r}")
+    return tuple(int(v) for v in entry)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +104,10 @@ def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
     if not isinstance(positions, list) or not positions:
         raise ParseError(f"{where}: positions must be a non-empty list of points")
     for idx, row in enumerate(positions):
-        if not isinstance(row, list) or len(row) != dim:
+        if not isinstance(row, list) or len(row) != dim or not all(map(_is_number, row)):
             raise ParseError(f"{where}: positions[{idx}] must be a list of {dim} numbers")
+        if not all(map(_is_finite, row)):
+            raise ParseError(f"{where}: positions[{idx}] has a non-finite coordinate")
     edges = data.get("edges", [])
     angles = data.get("angles", [])
     for idx, e in enumerate(edges):
@@ -84,9 +116,10 @@ def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
     for idx, a in enumerate(angles):
         if not isinstance(a, list) or len(a) != 3:
             raise ParseError(f"{where}: angles[{idx}] must be a triple [k, i, j]")
+    edges = [_indices(e, f"{where}: edges[{idx}]") for idx, e in enumerate(edges)]
+    angles = [_indices(a, f"{where}: angles[{idx}]") for idx, a in enumerate(angles)]
     try:
-        graph = build_graph(len(positions), edges=[tuple(e) for e in edges],
-                            angles=[tuple(a) for a in angles])
+        graph = build_graph(len(positions), edges=edges, angles=angles)
         return Framework(graph=graph, dim=dim, positions=np.array(positions, float))
     except (WeakRigError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -117,8 +150,9 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
     for idx, entry in enumerate(data.get("sq_distances", [])):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{where}: sq_distances[{idx}] must be [i, j, value]")
-        i, j, v = entry
-        key = (int(i), int(j)) if i < j else (int(j), int(i))
+        i, j = _indices(entry[:2], f"{where}: sq_distances[{idx}]")
+        v = entry[2]
+        key = (i, j) if i < j else (j, i)
         if key in sq_map:
             raise ParseError(f"{where}: duplicate distance target for edge {key}")
         sq_map[key] = float(v)
@@ -127,8 +161,9 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
         for idx, entry in enumerate(data.get(field, [])):
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ParseError(f"{where}: {field}[{idx}] must be [k, i, j, value]")
-            k, i, j, v = entry
-            key = (int(k), int(i), int(j)) if i < j else (int(k), int(j), int(i))
+            k, i, j = _indices(entry[:3], f"{where}: {field}[{idx}]")
+            v = entry[3]
+            key = (k, i, j) if i < j else (k, j, i)
             if key in cos_map:
                 raise ParseError(f"{where}: duplicate cosine target for angle {key}")
             cos_map[key] = convert(v)

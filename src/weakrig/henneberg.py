@@ -175,7 +175,9 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float
     must already reach rank 2n-4, so the surviving edge is removable.
     Splitting the last edge breaks the count balance outright.)  Every
     step is rejection-sampled until the extended framework passes the
-    exhaustive minimality test; a step that fails 1000 attempts raises
+    single-removal minimality test, which one SVD of ``R_W`` decides: the
+    framework must be rigid, its constraint rows independent, and its edge
+    count not exactly one.  A step that fails 1000 attempts raises
     PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
     """
     if not is_minimally_weakly_rigid(seed_framework):

@@ -12,7 +12,6 @@ threshold is ``3n - 6``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,20 +96,12 @@ def weak_rigidity_function(f: Framework) -> np.ndarray:
     return vals
 
 
-def _framework_hash(f: Framework) -> str:
-    h = hashlib.sha1()
-    h.update(f"{f.dim}:{f.graph.n}:{f.graph.edges}:{f.graph.angles}".encode())
-    h.update(np.ascontiguousarray(f.positions).tobytes())
-    return h.hexdigest()[:12]
-
-
 @dataclass(frozen=True)
 class WeakRigidityMatrix:
     """Jacobian of the weak rigidity function plus row bookkeeping."""
 
     matrix: np.ndarray = field(repr=False)
     row_labels: tuple[RowLabel, ...]
-    framework_hash: str
 
     @property
     def shape(self):
@@ -142,7 +133,7 @@ def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
         R[row, d * i:d * i + d] = g_i
         R[row, d * j:d * j + d] = g_j
         labels.append(("cosine", triple))
-    return WeakRigidityMatrix(matrix=R, row_labels=tuple(labels), framework_hash=_framework_hash(f))
+    return WeakRigidityMatrix(matrix=R, row_labels=tuple(labels))
 
 
 def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> np.ndarray:
@@ -170,7 +161,10 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     M = np.asarray(M, float)
     if M.size == 0:
         raise ValueError("numerical rank of an empty matrix is undefined")
-    s = np.linalg.svd(M, compute_uv=False)
+    return _rank_cut(np.linalg.svd(M, compute_uv=False), rel_tol)
+
+
+def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
@@ -243,6 +237,21 @@ def _all_collinear(positions: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> 
     return bool(s[0] == 0.0 or s[1] <= rel_tol * s[0])
 
 
+def _required_rank_2d(g: Graph) -> int:
+    return 2 * g.n - 3 if g.m > 0 else 2 * g.n - 4
+
+
+def _checked_weak_rigidity_matrix(f: Framework) -> tuple[TrivialMotionBasis, WeakRigidityMatrix]:
+    """Weak rigidity matrix of a framework the 2D rank test applies to."""
+    if f.dim != 2:
+        raise ValueError("2D classifier needs dim 2")
+    if f.graph.n < 3:
+        raise ValueError("rigidity classification needs n >= 3")
+    if _all_collinear(f.positions):
+        raise DegenerateConfiguration("all vertices are collinear")
+    return trivial_motion_basis(f), weak_rigidity_matrix(f)
+
+
 def classify_infinitesimal_weak_rigidity(
     f: Framework, rel_tol: float = DEFAULT_RANK_TOL
 ) -> RigidityReport:
@@ -252,17 +261,10 @@ def classify_infinitesimal_weak_rigidity(
     count (``p = 0`` or all vertices collinear) raise
     DegenerateConfiguration instead of returning a verdict.
     """
-    if f.dim != 2:
-        raise ValueError("2D classifier needs dim 2")
-    if f.graph.n < 3:
-        raise ValueError("rigidity classification needs n >= 3")
-    if _all_collinear(f.positions):
-        raise DegenerateConfiguration("all vertices are collinear")
-    basis = trivial_motion_basis(f)
-    R = weak_rigidity_matrix(f)
+    basis, R = _checked_weak_rigidity_matrix(f)
     rank = numerical_rank(R.matrix, rel_tol)
     n = f.graph.n
-    required = 2 * n - 3 if f.graph.m > 0 else 2 * n - 4
+    required = _required_rank_2d(f.graph)
     rigid = rank == required
     return RigidityReport(
         rank=rank,
@@ -340,15 +342,6 @@ def classify_weak_rigidity_3d(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     )
 
 
-def _rank_meets_requirement(f: Framework, rel_tol: float) -> bool:
-    g = f.graph
-    if g.constraint_count == 0:
-        return False
-    R = weak_rigidity_matrix(f)
-    required = 2 * g.n - 3 if g.m > 0 else 2 * g.n - 4
-    return numerical_rank(R.matrix, rel_tol) == required
-
-
 @dataclass(frozen=True)
 class MinimalityResult:
     minimal: bool
@@ -360,23 +353,33 @@ class MinimalityResult:
 
 
 def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> MinimalityResult:
-    """Exhaustive single-removal minimality test in 2D.
+    """Single-removal minimality test in 2D, decided from one SVD of ``R_W``.
 
     Minimal means the framework passes its rank condition and every
     framework obtained by dropping one constraint fails its own rank
     condition (which flips to ``2n - 4`` if the removal empties the edge
-    set).  A removable constraint is returned as witness.
+    set).  A row can be dropped without losing rank iff it has weight in
+    the left null space ``U[:, rank:]`` of ``R_W``; the weight counts when
+    ``weight * s[rank-1]``, about the singular value the reduced matrix
+    keeps, clears the rank cut ``rel_tol * s[0]``.  A lone edge is always
+    removable: the angle rows annihilate scaling, so they reach at most
+    ``2n - 4``, the edge-free requirement.  The first removable constraint,
+    angles before edges, is the witness.  Raises the same errors as
+    :func:`classify_infinitesimal_weak_rigidity`.
     """
-    report = classify_infinitesimal_weak_rigidity(f, rel_tol)
-    if not report.rigid:
-        return MinimalityResult(minimal=False, reason="not rigid")
+    _, R = _checked_weak_rigidity_matrix(f)
+    if R.matrix.size == 0:
+        raise ValueError("numerical rank of an empty matrix is undefined")
+    U, s, _ = np.linalg.svd(R.matrix)
+    rank = _rank_cut(s, rel_tol)
     g = f.graph
-    for h in range(g.q):
-        reduced = Graph(n=g.n, edges=g.edges, angles=g.angles[:h] + g.angles[h + 1:])
-        if _rank_meets_requirement(Framework(reduced, 2, f.positions), rel_tol):
-            return MinimalityResult(False, "removable constraint", ("cosine", g.angles[h]))
-    for u in range(g.m):
-        reduced = Graph(n=g.n, edges=g.edges[:u] + g.edges[u + 1:], angles=g.angles)
-        if _rank_meets_requirement(Framework(reduced, 2, f.positions), rel_tol):
-            return MinimalityResult(False, "removable constraint", ("distance", g.edges[u]))
+    if rank != _required_rank_2d(g):
+        return MinimalityResult(minimal=False, reason="not rigid")
+    weight = np.linalg.norm(U[:, rank:], axis=1)
+    removable = weight * s[rank - 1] > rel_tol * s[0]
+    for row in [*range(g.m, g.m + g.q), *range(g.m)]:
+        if removable[row]:
+            return MinimalityResult(False, "removable constraint", R.row_labels[row])
+    if g.m == 1:
+        return MinimalityResult(False, "removable constraint", R.row_labels[0])
     return MinimalityResult(minimal=True, reason="rigid and no constraint removable")

@@ -91,6 +91,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert ":2:" in err  # line diagnostic
 
+    @pytest.mark.parametrize("payload", [
+        {"edges": [[0, 1.5]]},
+        {"angles": [[0, 1, 2.5]]},
+        {"positions": [[0.0, 1.0], [-1.732, 0.0], [0.0, -1.0], [float("nan"), 0.0]]},
+        {"positions": [[0.0, 1.0], [-1.732, 0.0], [float("inf"), -1.0], [1.732, 0.0]]},
+    ])
+    def test_malformed_values_give_one_error_line(self, tmp_path, capsys, payload):
+        data = {"dim": 2, "positions": [list(p) for p in RHOMBUS_POS], "edges": [[0, 1]]}
+        data.update(payload)
+        assert main(["analyze", write_json(tmp_path / "bad.json", data)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "non-integer vertex index" in lines[0] or "non-finite coordinate" in lines[0]
+        assert captured.out == ""
+
     def test_degenerate_collinear(self, tmp_path):
         collinear = write_json(tmp_path / "collinear.json", {
             "dim": 2,
@@ -167,6 +183,15 @@ class TestSimulate:
         assert code == 4
         assert "incorrect equilibrium" in out
         assert "unstable" in out
+
+    def test_non_integer_target_index(self, tmp_path, capsys):
+        fw = bench_framework_file(tmp_path)
+        tg = write_json(tmp_path / "targets.json", {
+            "sq_distances": [[0, 1.5, 8.0], [0, 2, 9.0]], "cosines": [[0, 1, 2, 0.5]]})
+        assert main(["simulate", fw, "--targets", tg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "sq_distances[0] has a non-integer vertex index 1.5" in lines[0]
 
     def test_target_mismatch(self, tmp_path, capsys):
         fw = bench_framework_file(tmp_path)

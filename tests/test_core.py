@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from weakrig import (
     induced_angle_support,
     induced_distance_closure,
 )
+from weakrig.core import min_separation
 
 from conftest import TRIANGLE_POS, random_framework, random_positions
 
@@ -235,3 +238,31 @@ class TestFramework:
             Framework(build_graph(3), 2, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             Framework(build_graph(3), 5, np.zeros((3, 5)))
+
+
+class TestMinSeparation:
+    @staticmethod
+    def pairwise_loop(pos):
+        n = pos.shape[0]
+        best = math.inf
+        for i in range(n):
+            for j in range(i + 1, n):
+                best = min(best, float(np.linalg.norm(pos[i] - pos[j])))
+        return best
+
+    def test_single_point_is_infinitely_separated(self):
+        assert min_separation(np.array([[1.0, 2.0]])) == math.inf
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            n = int(rng.integers(2, 25))
+            pos = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, int(rng.integers(2, 4))))
+            if trial % 3 == 0:
+                pos[int(rng.integers(1, n))] = pos[0]
+            expected = self.pairwise_loop(pos)
+            got = min_separation(pos)
+            if expected == 0.0:
+                assert got == 0.0
+            else:
+                assert got == pytest.approx(expected, rel=4 * np.finfo(float).eps)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -55,6 +56,30 @@ class TestFrameworkFiles:
         with pytest.raises(ParseError, match="coincide"):
             framework_from_dict({"dim": 2, "positions": [[0, 0], [0, 0]]})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_coordinate_names_the_row(self, value):
+        data = {"dim": 2, "positions": [[0, 0], [1, 0], [0.5, value]]}
+        with pytest.raises(ParseError, match=r"positions\[2\] has a non-finite coordinate"):
+            framework_from_dict(data)
+
+    @pytest.mark.parametrize("key, entry", [("edges", [0, 1.5]), ("angles", [0, 1, 2.5]),
+                                            ("edges", [0, "1"]), ("edges", [0, True])])
+    def test_non_integer_index_rejected(self, key, entry):
+        data = {"dim": 2, "positions": [[0, 0], [1, 0], [0, 1]], key: [entry]}
+        with pytest.raises(ParseError, match=rf"{key}\[0\] has a non-integer vertex index"):
+            framework_from_dict(data)
+
+    def test_huge_integer_index_is_out_of_range(self):
+        data = {"dim": 2, "positions": [[0, 0], [1, 0], [0, 1]], "edges": [[0, 10**400]]}
+        with pytest.raises(ParseError, match="valid range is 0..2"):
+            framework_from_dict(data)
+
+    def test_integral_float_index_accepted(self):
+        f = framework_from_dict({"dim": 2, "positions": [[0, 0], [1, 0], [0, 1]],
+                                 "edges": [[0, 1.0]], "angles": [[2.0, 0, 1]]})
+        assert f.graph.edges == ((0, 1),) and f.graph.angles == ((2, 0, 1),)
+        assert all(type(v) is int for v in f.graph.edges[0] + f.graph.angles[0])
+
     def test_json_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "dim": 2\n  "positions": []\n}')
@@ -77,6 +102,15 @@ class TestTargetFiles:
                  "cosines": [[0, 1, 2, 0.5]]},
                 mixed_framework.graph,
             )
+
+    @pytest.mark.parametrize("data, where", [
+        ({"sq_distances": [[0, 1.5, 8.0]]}, r"sq_distances\[0\]"),
+        ({"cosines": [[0, 1, 2.5, 0.5]]}, r"cosines\[0\]"),
+        ({"cosines_deg": [["0", 1, 2, 40.0]]}, r"cosines_deg\[0\]"),
+    ])
+    def test_non_integer_index_rejected(self, mixed_framework, data, where):
+        with pytest.raises(ParseError, match=where + " has a non-integer vertex index"):
+            targets_from_dict(data, mixed_framework.graph)
 
     def test_file_order_does_not_matter(self, tmp_path, mixed_framework):
         path = tmp_path / "targets.json"
@@ -115,3 +149,15 @@ class TestGrowthLog:
         path.write_text('{"kind": "0-extension"}\n')
         with pytest.raises(ParseError, match="steps.log:1"):
             read_growth_log(str(path))
+
+
+class TestWrittenFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_umask(self, tmp_path, mixed_framework, umask):
+        previous = os.umask(umask)
+        try:
+            path = tmp_path / "fw.json"
+            dump_framework(mixed_framework, str(path))
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

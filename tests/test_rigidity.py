@@ -9,6 +9,8 @@ from weakrig import (
     DegenerateConfiguration,
     EmptyEdgeSet,
     Framework,
+    Graph,
+    MinimalityResult,
     build_graph,
     classify_infinitesimal_weak_rigidity,
     classify_weak_rigidity_3d,
@@ -16,6 +18,7 @@ from weakrig import (
     cosine_gradient_blocks,
     distance_rigidity_matrix,
     finite_difference_weak_rigidity_matrix,
+    grow_random,
     induced_distance_closure,
     is_minimally_weakly_rigid,
     numerical_rank,
@@ -305,3 +308,88 @@ class TestMinimality:
         f = Framework(build_graph(3, edges=[(0, 1), (1, 2)]), 2, random_positions(rng, 3))
         result = is_minimally_weakly_rigid(f)
         assert not result.minimal and result.reason == "not rigid"
+
+
+def _rank_meets_requirement(f: Framework, rel_tol: float) -> bool:
+    g = f.graph
+    if g.constraint_count == 0:
+        return False
+    required = 2 * g.n - 3 if g.m > 0 else 2 * g.n - 4
+    return numerical_rank(weak_rigidity_matrix(f).matrix, rel_tol) == required
+
+
+def exhaustive_minimality(f: Framework, rel_tol: float = 1e-9) -> MinimalityResult:
+    """Reference test: drop each constraint in turn and re-rank the rest.
+
+    Angles are tried before edges, each in graph order; the first removable
+    constraint is the witness.
+    """
+    if not classify_infinitesimal_weak_rigidity(f, rel_tol).rigid:
+        return MinimalityResult(minimal=False, reason="not rigid")
+    g = f.graph
+    for h in range(g.q):
+        reduced = Graph(n=g.n, edges=g.edges, angles=g.angles[:h] + g.angles[h + 1:])
+        if _rank_meets_requirement(Framework(reduced, 2, f.positions), rel_tol):
+            return MinimalityResult(False, "removable constraint", ("cosine", g.angles[h]))
+    for u in range(g.m):
+        reduced = Graph(n=g.n, edges=g.edges[:u] + g.edges[u + 1:], angles=g.angles)
+        if _rank_meets_requirement(Framework(reduced, 2, f.positions), rel_tol):
+            return MinimalityResult(False, "removable constraint", ("distance", g.edges[u]))
+    return MinimalityResult(minimal=True, reason="rigid and no constraint removable")
+
+
+def _verdict(result: MinimalityResult):
+    return result.minimal, result.reason, result.witness
+
+
+def _one_constraint_variants(f: Framework, rng):
+    """``f`` with one edge added, one edge dropped and one angle dropped."""
+    g, n = f.graph, f.graph.n
+    absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in g.edges]
+    extra = absent[int(rng.integers(len(absent)))]
+    variants = [Graph(n, g.edges + (extra,), g.angles)]
+    if g.m:
+        u = int(rng.integers(g.m))
+        variants.append(Graph(n, g.edges[:u] + g.edges[u + 1:], g.angles))
+    h = int(rng.integers(g.q))
+    variants.append(Graph(n, g.edges, g.angles[:h] + g.angles[h + 1:]))
+    return [Framework(v, 2, f.positions) for v in variants]
+
+
+class TestMinimalityAgainstExhaustiveOracle:
+    def test_grown_frameworks_and_one_constraint_variants(self, triangle_k3):
+        rng = np.random.default_rng(2024)
+        cases = []
+        for steps in range(1, 13):  # n = 4..15
+            mix = float(rng.random())
+            grown = grow_random(triangle_k3, steps=steps, rng_seed=int(rng.integers(2**31)), mix=mix)
+            cases.append(grown.final)
+            cases.extend(_one_constraint_variants(grown.final, rng))
+        verdicts = [_verdict(exhaustive_minimality(f)) for f in cases]
+        assert {v[1] for v in verdicts} == {
+            "rigid and no constraint removable", "removable constraint", "not rigid"}
+        for f, expected in zip(cases, verdicts):
+            assert _verdict(is_minimally_weakly_rigid(f)) == expected
+
+    def test_random_mixed_frameworks(self):
+        rng = np.random.default_rng(515)
+        for _ in range(300):
+            f = random_framework(rng)
+            assert _verdict(is_minimally_weakly_rigid(f)) == _verdict(exhaustive_minimality(f))
+
+    def test_lone_edge_is_the_witness(self):
+        f = rhombus_framework("e")  # one edge, four angles, rank 2n-3
+        assert f.graph.m == 1 and classify_infinitesimal_weak_rigidity(f).rigid
+        result = is_minimally_weakly_rigid(f)
+        assert _verdict(result) == _verdict(exhaustive_minimality(f))
+        assert result.witness == ("distance", (2, 3))
+
+    def test_edge_free_frameworks_use_rank_2n_minus_4(self):
+        five_angles = rhombus_framework("f")
+        four_angles = Framework(
+            Graph(4, (), five_angles.graph.angles[:4]), 2, five_angles.positions)
+        assert classify_infinitesimal_weak_rigidity(four_angles).rank == 4
+        assert is_minimally_weakly_rigid(four_angles).minimal
+        for f in (five_angles, four_angles):
+            assert _verdict(is_minimally_weakly_rigid(f)) == _verdict(exhaustive_minimality(f))
+        assert is_minimally_weakly_rigid(five_angles).witness[0] == "cosine"
