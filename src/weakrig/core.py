@@ -154,6 +154,11 @@ def min_separation(positions: np.ndarray) -> float:
     return math.sqrt(sq.min())
 
 
+def collocated(positions: np.ndarray) -> bool:
+    """Whether two of the points are closer than :func:`collocation_tolerance`."""
+    return min_separation(positions) < collocation_tolerance(positions)
+
+
 @dataclass(frozen=True)
 class Framework:
     """A graph together with a configuration in dimension 2 or 3."""
@@ -170,7 +175,7 @@ class Framework:
             raise ValueError(
                 f"positions must have shape ({self.graph.n}, {self.dim}), got {pos.shape}"
             )
-        if self.graph.n >= 2 and min_separation(pos) < collocation_tolerance(pos):
+        if collocated(pos):
             raise CollocatedPoints("two vertex positions coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)

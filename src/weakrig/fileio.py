@@ -64,6 +64,15 @@ def _is_finite(v) -> bool:
         return False
 
 
+def _value(v, where: str) -> float:
+    """A target value: a finite JSON number (not a bool or a string)."""
+    if not _is_number(v):
+        raise ParseError(f"{where} value must be a number, got {type(v).__name__}")
+    if not _is_finite(v):
+        raise ParseError(f"{where} has a non-finite value")
+    return float(v)
+
+
 def _indices(entry, where: str) -> tuple[int, ...]:
     """Vertex indices of a parsed entry; integral floats such as ``1.0`` pass."""
     for v in entry:
@@ -151,18 +160,18 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{where}: sq_distances[{idx}] must be [i, j, value]")
         i, j = _indices(entry[:2], f"{where}: sq_distances[{idx}]")
-        v = entry[2]
+        v = _value(entry[2], f"{where}: sq_distances[{idx}]")
         key = (i, j) if i < j else (j, i)
         if key in sq_map:
             raise ParseError(f"{where}: duplicate distance target for edge {key}")
-        sq_map[key] = float(v)
+        sq_map[key] = v
     cos_map: dict = {}
     for field, convert in (("cosines", float), ("cosines_deg", lambda d: float(np.cos(np.deg2rad(d))))):
         for idx, entry in enumerate(data.get(field, [])):
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ParseError(f"{where}: {field}[{idx}] must be [k, i, j, value]")
             k, i, j = _indices(entry[:3], f"{where}: {field}[{idx}]")
-            v = entry[3]
+            v = _value(entry[3], f"{where}: {field}[{idx}]")
             key = (k, i, j) if i < j else (k, j, i)
             if key in cos_map:
                 raise ParseError(f"{where}: duplicate cosine target for angle {key}")

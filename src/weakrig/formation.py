@@ -15,9 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Framework, Graph, build_graph, collocation_tolerance, min_separation
+from .core import Framework, Graph, build_graph, collocated, collocation_tolerance
 from .errors import TargetMismatch, WrongTopology
-from .rigidity import weak_rigidity_function, weak_rigidity_matrix
+from .rigidity import (
+    central_differences,
+    compile_graph,
+    compile_planar,
+    constraint_kernel,
+    weak_rigidity_function,
+)
 
 CANONICAL_EDGES = ((0, 1), (0, 2))
 CANONICAL_ANGLES = ((0, 1, 2),)
@@ -129,9 +135,8 @@ def error_vector(f: Framework, t: TargetSpec) -> ErrorVector:
 
 def control_law(f: Framework, t: TargetSpec) -> np.ndarray:
     """Gradient-descent velocity ``-R_W^T e`` as a stacked ``2n`` vector."""
-    e = error_vector(f, t)
-    R = weak_rigidity_matrix(f)
-    return -(R.matrix.T @ e.values)
+    _check_cover(f, t)
+    return -constraint_kernel(f.positions, compile_planar(f), t.values())[2].ravel()
 
 
 def _cosine_coefficients(p: np.ndarray):
@@ -176,18 +181,9 @@ def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = 1e-6) -> np.ndar
     Equals the Hessian of the potential, so it is symmetric up to the
     finite-difference error.
     """
-    x = f.config()
-    dim = 2 * f.graph.n
-    J = np.empty((dim, dim))
-    for c in range(dim):
-        xp = x.copy()
-        xm = x.copy()
-        xp[c] += fd_step
-        xm[c] -= fd_step
-        up = control_law(f.with_positions(xp.reshape(-1, 2)), t)
-        um = control_law(f.with_positions(xm.reshape(-1, 2)), t)
-        J[:, c] = -(up - um) / (2.0 * fd_step)
-    return J
+    _check_cover(f, t)
+    cg, tv = compile_planar(f), t.values()
+    return central_differences(lambda p: constraint_kernel(p, cg, tv)[2].ravel(), f.positions, fd_step)
 
 
 def collinearity_tolerance(f: Framework) -> float:
@@ -239,8 +235,7 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("equilibrium classification needs the three-agent topology")
     e = error_vector(f, t)
-    grad = weak_rigidity_matrix(f).matrix.T @ e.values
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(np.linalg.norm(control_law(f, t)))
     enorm = e.norm()
     if enorm < tol:
         kind = "desired"
@@ -314,6 +309,20 @@ class SimulationTrace:
         return self.positions[-1]
 
 
+def _trace(times, positions, errs, det_z, status) -> SimulationTrace:
+    errors = np.array(errs)
+    error_norm = np.linalg.norm(errors, axis=1)
+    return SimulationTrace(
+        times=np.array(times),
+        positions=positions,
+        errors=errors,
+        error_norm=error_norm,
+        lyapunov=0.5 * error_norm**2,
+        det_z=det_z,
+        terminal_status=status,
+    )
+
+
 def _rhs_canonical(x, d1s, d2s, cs):
     """Scalar flow for the canonical topology; returns (u, e1, e2, ec, det)."""
     x0, y0, x1, y1, x2, y2 = x
@@ -355,11 +364,11 @@ def _simulate_canonical(x0, targets, cfg):
     errs = []
     dets = []
 
-    def record(x):
-        _, e1, e2, ec, det = _rhs_canonical(x, d1s, d2s, cs)
+    def record(x):  # log the errors at x; return the velocity there and ||e||
+        u, e1, e2, ec, det = _rhs_canonical(x, d1s, d2s, cs)
         errs.append((e1, e2, ec))
         dets.append(det)
-        return math.sqrt(e1 * e1 + e2 * e2 + ec * ec)
+        return u, math.sqrt(e1 * e1 + e2 * e2 + ec * ec)
 
     def degenerate(x):
         x0_, y0_, x1_, y1_, x2_, y2_ = x
@@ -370,7 +379,7 @@ def _simulate_canonical(x0, targets, cfg):
         return min(d01, d02, d12) < tol
 
     status = "max-time"
-    enorm = record(x)
+    k1, enorm = record(x)
     if degenerate(x):
         status = "degenerate"
     elif enorm < eps:
@@ -380,7 +389,6 @@ def _simulate_canonical(x0, targets, cfg):
         sixth = dt / 6.0
         half = 0.5 * dt
         while k * dt < cfg.t_max - 1e-12:
-            k1, *_ = _rhs_canonical(x, d1s, d2s, cs)
             xa = tuple(x[i] + half * k1[i] for i in range(6))
             k2, *_ = _rhs_canonical(xa, d1s, d2s, cs)
             xb = tuple(x[i] + half * k2[i] for i in range(6))
@@ -395,53 +403,24 @@ def _simulate_canonical(x0, targets, cfg):
                 record(x)
                 status = "degenerate"
                 break
-            enorm = record(x)
+            k1, enorm = record(x)
             if max(abs(v) for v in x) > bound:
                 status = "diverged"
                 break
             if enorm < eps:
                 status = "converged"
                 break
-    positions = np.array(states).reshape(len(states), 3, 2)
-    errors = np.array(errs)
-    error_norm = np.linalg.norm(errors, axis=1)
-    return SimulationTrace(
-        times=np.array(times),
-        positions=positions,
-        errors=errors,
-        error_norm=error_norm,
-        lyapunov=0.5 * error_norm**2,
-        det_z=np.array(dets),
-        terminal_status=status,
-    )
+    return _trace(times, np.array(states).reshape(len(states), 3, 2), errs, np.array(dets), status)
 
 
 def _rhs_generic(positions, graph, target_values):
-    """Gradient flow for an arbitrary constraint graph (no validation)."""
-    n = graph.n
-    vel = np.zeros((n, 2))
-    errs = np.empty(graph.constraint_count)
-    for u, (i, j) in enumerate(graph.edges):
-        z = positions[i] - positions[j]
-        e = float(z @ z) - target_values[u]
-        errs[u] = e
-        vel[i] -= 2.0 * e * z
-        vel[j] += 2.0 * e * z
-    for h, (k, i, j) in enumerate(graph.angles):
-        zu = positions[i] - positions[k]
-        zv = positions[j] - positions[k]
-        nu2 = float(zu @ zu)
-        nv2 = float(zv @ zv)
-        inv = 1.0 / math.sqrt(nu2 * nv2)
-        c = float(zu @ zv) * inv
-        e = max(-1.0, min(1.0, c)) - target_values[graph.m + h]
-        errs[graph.m + h] = e
-        gi = zv * inv - c * zu / nu2
-        gj = zu * inv - c * zv / nv2
-        vel[i] -= e * gi
-        vel[j] -= e * gj
-        vel[k] += e * (gi + gj)
-    return vel, errs
+    """Gradient flow for any constraint graph: ``(-R_W^T e, e)``, no validation.
+
+    One unchecked :func:`constraint_kernel` call on the graph's cached
+    compiled form; the velocity is an ``(n, 2)`` array.
+    """
+    values, _, grad = constraint_kernel(positions, compile_graph(graph), target_values, check=False)
+    return -grad, values - target_values
 
 
 def _simulate_generic(f0: Framework, t: TargetSpec, cfg: SimulationConfig):
@@ -450,53 +429,42 @@ def _simulate_generic(f0: Framework, t: TargetSpec, cfg: SimulationConfig):
     dt = cfg.dt
     p = f0.positions.copy()
     times = [0.0]
-    states = [p.copy()]
+    states = [p]
     errs = []
 
-    def record(p):
-        _, e = _rhs_generic(p, graph, tv)
+    def record(p):  # log the errors at p; return the velocity there and ||e||
+        vel, e = _rhs_generic(p, graph, tv)
         errs.append(e)
-        return float(np.linalg.norm(e))
+        return vel, float(np.linalg.norm(e))
 
     status = "max-time"
-    enorm = record(p)
-    if min_separation(p) < collocation_tolerance(p):
+    k1, enorm = record(p)
+    if collocated(p):
         status = "degenerate"
     elif enorm < cfg.convergence_eps:
         status = "converged"
     else:
         k = 0
         while k * dt < cfg.t_max - 1e-12:
-            k1, _ = _rhs_generic(p, graph, tv)
             k2, _ = _rhs_generic(p + 0.5 * dt * k1, graph, tv)
             k3, _ = _rhs_generic(p + 0.5 * dt * k2, graph, tv)
             k4, _ = _rhs_generic(p + dt * k3, graph, tv)
             p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             k += 1
             times.append(k * dt)
-            states.append(p.copy())
-            if min_separation(p) < collocation_tolerance(p):
+            states.append(p)
+            if collocated(p):
                 record(p)
                 status = "degenerate"
                 break
-            enorm = record(p)
+            k1, enorm = record(p)
             if float(np.max(np.abs(p))) > cfg.divergence_bound:
                 status = "diverged"
                 break
             if enorm < cfg.convergence_eps:
                 status = "converged"
                 break
-    errors = np.array(errs)
-    error_norm = np.linalg.norm(errors, axis=1)
-    return SimulationTrace(
-        times=np.array(times),
-        positions=np.array(states),
-        errors=errors,
-        error_norm=error_norm,
-        lyapunov=0.5 * error_norm**2,
-        det_z=None,
-        terminal_status=status,
-    )
+    return _trace(times, np.array(states), errs, None, status)
 
 
 def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) -> SimulationTrace:

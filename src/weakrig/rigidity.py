@@ -12,6 +12,8 @@ threshold is ``3n - 6``.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +21,8 @@ import numpy as np
 from .core import (
     Framework,
     Graph,
+    collocated,
     collocation_tolerance,
-    cosine_of_angle,
     induced_distance_closure,
 )
 from .errors import CollocatedPoints, DegenerateConfiguration, EmptyEdgeSet
@@ -43,9 +45,7 @@ def cosine_edge_partials(za, zb, zc):
     ``(|za|^2 + |zb|^2 - |zc|^2) / (2 |za| |zb|)``.  Returns the three row
     vectors ``(dA/dza, dA/dzb, dA/dzc)``.
     """
-    za = np.asarray(za, float)
-    zb = np.asarray(zb, float)
-    zc = np.asarray(zc, float)
+    za, zb, zc = (np.asarray(v, float) for v in (za, zb, zc))
     na = float(np.linalg.norm(za))
     nb = float(np.linalg.norm(zb))
     if na == 0.0 or nb == 0.0:
@@ -58,42 +58,104 @@ def cosine_edge_partials(za, zb, zc):
     return d_a, d_b, d_c
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledGraph:
+    """A constraint graph as index arrays for :func:`constraint_kernel`.
+
+    Constraint vectors are ``p[tails] - p[heads]``: the edge vectors
+    ``p_i - p_j``, then the rays ``p_i - p_k``, then the rays ``p_j - p_k``
+    of the angles ``(k, i, j)``.  The nonzero blocks of ``R_W`` sit in rows
+    ``block_rows`` at flat columns ``block_cols``: edge rows at ``i``, at
+    ``j``, then angle rows at ``k``, at ``i``, at ``j``.
+    """
+
+    graph: Graph
+    tails: np.ndarray = field(repr=False)
+    heads: np.ndarray = field(repr=False)
+    block_rows: np.ndarray = field(repr=False)
+    block_cols: np.ndarray = field(repr=False)
+
+
+@functools.lru_cache(maxsize=64)
+def compile_graph(g: Graph, dim: int = 2) -> CompiledGraph:
+    """Compile ``g`` for ``dim``-dimensional positions; equal graphs share one result."""
+    ei, ej = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    k, i, j = np.array(g.angles, dtype=np.intp).reshape(-1, 3).T
+    edge_rows, angle_rows = np.arange(g.m), np.arange(g.m, g.m + g.q)
+    block_rows = np.concatenate([edge_rows, edge_rows, angle_rows, angle_rows, angle_rows])
+    block_cols = np.concatenate([ei, ej, k, i, j])[:, None] * dim + np.arange(dim)
+    return CompiledGraph(g, np.concatenate([ei, i, j]), np.concatenate([ej, k, k]),
+                         block_rows, block_cols)
+
+
+def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=False, check=True):
+    """Constraint values at ``positions`` and, on request, ``R_W`` and ``R_W^T e``.
+
+    Returns ``(values, R, grad)``: squared edge lengths then cosines clamped
+    to [-1, 1]; the dense Jacobian of the unclamped values if ``matrix``;
+    ``R_W^T (values - target_values)`` as an ``(n, dim)`` array, summed per
+    vertex in block order, if targets are given.  Parts not asked for are
+    None.  ``check`` raises CollocatedPoints for an angle with a side below
+    the collocation tolerance; without it the positions are trusted.
+    """
+    g = cg.graph
+    m, q = g.m, g.q
+    z = positions.take(cg.tails, axis=0) - positions.take(cg.heads, axis=0)
+    sq = (z * z).sum(axis=1)
+    za, zb = z[m:m + q], z[m + q:]
+    na2, nb2 = sq[m:m + q], sq[m + q:]
+    if check and q:
+        zc = za - zb
+        side = np.sqrt(np.minimum(np.minimum(na2, nb2), (zc * zc).sum(axis=1)))
+        short = side < collocation_tolerance(positions)
+        if short.any():
+            k, i, j = g.angles[int(np.argmax(short))]
+            raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
+    inv = 1.0 / np.sqrt(na2 * nb2)
+    cos = (za * zb).sum(axis=1) * inv
+    values = np.concatenate([sq[:m], np.clip(cos, -1.0, 1.0)])
+    if not matrix and target_values is None:
+        return values, None, None
+    inv, cos = inv[:, None], cos[:, None]
+    g_i = zb * inv - za * cos / na2[:, None]  # gradient of the cosine at ray tip i
+    g_j = za * inv - zb * cos / nb2[:, None]
+    edge = 2.0 * z[:m]
+    blocks = np.concatenate([edge, -edge, -(g_i + g_j), g_i, g_j])
+    R = grad = None
+    if matrix:
+        R = np.zeros((m + q, positions.size))
+        R[cg.block_rows[:, None], cg.block_cols] = blocks
+    if target_values is not None:
+        weights = blocks * (values - target_values)[cg.block_rows, None]
+        grad = np.bincount(cg.block_cols.ravel(), weights.ravel(), minlength=positions.size)
+        grad = grad.reshape(positions.shape)
+    return values, R, grad
+
+
 def cosine_gradient_blocks(f: Framework, triple):
     """Per-vertex gradient rows of a constrained cosine.
 
     For triple ``(k, i, j)`` returns ``(g_k, g_i, g_j)``: the derivative of
     ``cos`` of the angle at apex ``k`` with respect to the positions of
-    ``k``, ``i`` and ``j``.  Assembled from the edge-vector partials by the
-    chain rule; the blocks sum to zero (translation invariance) and
-    annihilate both the rotation field and the configuration itself.
+    ``k``, ``i`` and ``j``, read off the kernel's one-angle ``R_W`` row.  The
+    blocks sum to zero (translation invariance) and annihilate both the
+    rotation field and the configuration itself.
     """
-    k, i, j = triple
-    pos = f.positions
-    tol = collocation_tolerance(pos)
-    za = pos[i] - pos[k]
-    zb = pos[j] - pos[k]
-    zc = pos[i] - pos[j]
-    if min(np.linalg.norm(za), np.linalg.norm(zb), np.linalg.norm(zc)) < tol:
-        raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
-    d_a, d_b, d_c = cosine_edge_partials(za, zb, zc)
-    g_i = d_a + d_c
-    g_j = d_b - d_c
-    g_k = -d_a - d_b
-    return g_k, g_i, g_j
+    one_angle = compile_graph(Graph(n=f.n, angles=(tuple(triple),)), f.dim)
+    row = constraint_kernel(f.positions, one_angle, matrix=True)[1].reshape(f.n, f.dim)
+    return tuple(row[list(triple)])
+
+
+def compile_planar(f: Framework, what: str = "weak rigidity function") -> CompiledGraph:
+    """The compiled graph of a 2D framework; ValueError in 3D."""
+    if f.dim != 2:
+        raise ValueError(f"{what} is defined for dim 2")
+    return compile_graph(f.graph)
 
 
 def weak_rigidity_function(f: Framework) -> np.ndarray:
     """Squared edge lengths followed by the constrained cosines."""
-    if f.dim != 2:
-        raise ValueError("weak rigidity function is defined for dim 2")
-    g = f.graph
-    vals = np.empty(g.m + g.q)
-    for u, (i, j) in enumerate(g.edges):
-        z = f.positions[i] - f.positions[j]
-        vals[u] = float(z @ z)
-    for h, triple in enumerate(g.angles):
-        vals[g.m + h] = cosine_of_angle(f, triple)
-    return vals
+    return constraint_kernel(f.positions, compile_planar(f))[0]
 
 
 @dataclass(frozen=True)
@@ -111,29 +173,31 @@ class WeakRigidityMatrix:
 def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
     """Build the weak rigidity matrix of a 2D framework.
 
-    Distance rows are ``2 z`` placed at the edge endpoints with opposite
-    signs; cosine rows come from :func:`cosine_gradient_blocks`.
+    One :func:`constraint_kernel` call: a distance row is ``2 z`` at the
+    edge's endpoints with opposite signs, a cosine row the cosine's
+    gradient at the apex and the two ray tips.  Rows are labelled
+    ``("distance", edge)`` then ``("cosine", triple)`` in graph order.
     """
-    if f.dim != 2:
-        raise ValueError("weak rigidity matrix is defined for dim 2")
     g = f.graph
-    n, d = g.n, 2
-    R = np.zeros((g.m + g.q, d * n))
-    labels: list[RowLabel] = []
-    for u, (i, j) in enumerate(g.edges):
-        z = f.positions[i] - f.positions[j]
-        R[u, d * i:d * i + d] = 2.0 * z
-        R[u, d * j:d * j + d] = -2.0 * z
-        labels.append(("distance", (i, j)))
-    for h, triple in enumerate(g.angles):
-        k, i, j = triple
-        g_k, g_i, g_j = cosine_gradient_blocks(f, triple)
-        row = g.m + h
-        R[row, d * k:d * k + d] = g_k
-        R[row, d * i:d * i + d] = g_i
-        R[row, d * j:d * j + d] = g_j
-        labels.append(("cosine", triple))
+    R = constraint_kernel(f.positions, compile_planar(f, "weak rigidity matrix"), matrix=True)[1]
+    labels = [("distance", e) for e in g.edges] + [("cosine", a) for a in g.angles]
     return WeakRigidityMatrix(matrix=R, row_labels=tuple(labels))
+
+
+def central_differences(func, positions: np.ndarray, step: float) -> np.ndarray:
+    """Jacobian of ``func`` by central differences in each stacked coordinate.
+
+    Every perturbed configuration gets the collocation check a framework
+    gets, so a step that merges two points raises CollocatedPoints.
+    """
+    def at(x):
+        p = x.reshape(positions.shape)
+        if collocated(p):
+            raise CollocatedPoints("two vertex positions coincide")
+        return func(p)
+
+    x = positions.ravel()
+    return np.column_stack([(at(x + h) - at(x - h)) / (2.0 * step) for h in np.eye(x.size) * step])
 
 
 def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> np.ndarray:
@@ -142,18 +206,8 @@ def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> 
     Independent cross-check for the analytic matrix; used by the gradient
     check and by the test suite.
     """
-    x = f.config()
-    rows = f.graph.constraint_count
-    FD = np.empty((rows, x.size))
-    for c in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[c] += step
-        xm[c] -= step
-        fp = weak_rigidity_function(f.with_positions(xp.reshape(-1, 2)))
-        fm = weak_rigidity_function(f.with_positions(xm.reshape(-1, 2)))
-        FD[:, c] = (fp - fm) / (2.0 * step)
-    return FD
+    cg = compile_planar(f)
+    return central_differences(lambda p: constraint_kernel(p, cg)[0], f.positions, step)
 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -211,24 +265,11 @@ class RigidityReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "required_rank": self.required_rank,
-            "rigid": self.rigid,
-            "verdict": self.verdict,
-            "null_space_dim": self.null_space_dim,
-            "trivial_motion_residual": self.trivial_motion_residual,
-            "tolerance_used": self.tolerance_used,
-            "note": self.note,
-        }
+        return dataclasses.asdict(self)
 
 
 def _max_residual(M: np.ndarray, columns: np.ndarray) -> float:
-    best = 0.0
-    for c in columns.T:
-        v = c / np.linalg.norm(c)
-        best = max(best, float(np.max(np.abs(M @ v))))
-    return best
+    return float(np.max(np.abs(M @ (columns / np.linalg.norm(columns, axis=0)))))
 
 
 def _all_collinear(positions: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -286,27 +327,16 @@ def distance_rigidity_matrix(f: Framework) -> np.ndarray:
     g = f.graph
     if not g.edges:
         raise EmptyEdgeSet("distance rigidity matrix needs at least one edge")
-    d = f.dim
-    R = np.zeros((g.m, d * g.n))
-    for u, (i, j) in enumerate(g.edges):
-        z = f.positions[i] - f.positions[j]
-        R[u, d * i:d * i + d] = z
-        R[u, d * j:d * j + d] = -z
-    return R
+    edges_only = compile_graph(Graph(n=g.n, edges=g.edges), f.dim)
+    return 0.5 * constraint_kernel(f.positions, edges_only, matrix=True)[1]
 
 
 def _rigid_motion_fields_3d(positions: np.ndarray) -> np.ndarray:
-    n = positions.shape[0]
-    cols = []
-    for axis in range(3):
-        t = np.zeros((n, 3))
-        t[:, axis] = 1.0
-        cols.append(t.ravel())
-    for axis in range(3):
-        omega = np.zeros(3)
-        omega[axis] = 1.0
-        cols.append(np.cross(np.broadcast_to(omega, (n, 3)), positions).ravel())
-    return np.column_stack(cols)
+    """Three translations, then the rotations about the three axes."""
+    axes = np.eye(3)
+    shifts = [np.tile(a, len(positions)) for a in axes]
+    spins = [np.cross(a, positions).ravel() for a in axes]
+    return np.column_stack(shifts + spins)
 
 
 def classify_weak_rigidity_3d(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> RigidityReport:

@@ -193,6 +193,25 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "sq_distances[0] has a non-integer vertex index 1.5" in lines[0]
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"sq_distances": [[0, 1, [8.0]], [0, 2, 9.0]], "cosines": [[0, 1, 2, 0.5]]}',
+         "sq_distances[0] value must be a number"),
+        ('{"sq_distances": [[0, 1, 8.0], [0, 2, 9.0]], "cosines_deg": [[0, 1, 2, "40"]]}',
+         "cosines_deg[0] value must be a number"),
+        ('{"sq_distances": [[0, 1, 8.0], [0, 2, 1%s]], "cosines": [[0, 1, 2, 0.5]]}' % ("0" * 400),
+         "sq_distances[1] has a non-finite value"),
+        ('{"sq_distances": [[0, 1, NaN], [0, 2, 9.0]], "cosines": [[0, 1, 2, 0.5]]}',
+         "sq_distances[0] has a non-finite value"),
+    ], ids=["list", "string", "overflow", "nan"])
+    def test_bad_target_value_gives_one_error_line(self, tmp_path, capsys, text, where):
+        fw = bench_framework_file(tmp_path)
+        tg = tmp_path / "targets.json"
+        tg.write_text(text)
+        assert main(["simulate", fw, "--targets", str(tg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert where in lines[0]
+
     def test_target_mismatch(self, tmp_path, capsys):
         fw = bench_framework_file(tmp_path)
         tg = write_json(tmp_path / "badtargets.json", {

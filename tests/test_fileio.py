@@ -112,6 +112,24 @@ class TestTargetFiles:
         with pytest.raises(ParseError, match=where + " has a non-integer vertex index"):
             targets_from_dict(data, mixed_framework.graph)
 
+    @pytest.mark.parametrize("data, where, why", [
+        ({"sq_distances": [[0, 1, [8.0]]]}, r"sq_distances\[0\]", "must be a number, got list"),
+        ({"cosines_deg": [[0, 1, 2, "40"]]}, r"cosines_deg\[0\]", "must be a number, got str"),
+        ({"cosines": [[0, 1, 2, True]]}, r"cosines\[0\]", "must be a number, got bool"),
+        ({"sq_distances": [[0, 1, 4.0], [0, 2, 10**400]]}, r"sq_distances\[1\]", "non-finite"),
+        ({"sq_distances": [[0, 1, float("nan")]]}, r"sq_distances\[0\]", "non-finite"),
+        ({"cosines_deg": [[0, 1, 2, float("inf")]]}, r"cosines_deg\[0\]", "non-finite"),
+    ], ids=["list", "string", "bool", "overflow", "nan", "infinity"])
+    def test_bad_value_names_the_entry(self, mixed_framework, data, where, why):
+        with pytest.raises(ParseError, match=where + ".*" + why):
+            targets_from_dict(data, mixed_framework.graph)
+
+    def test_nan_literal_in_file_rejected(self, tmp_path, mixed_framework):
+        path = tmp_path / "targets.json"
+        path.write_text('{"sq_distances": [[0, 1, NaN], [0, 2, 4.0]], "cosines": [[0, 1, 2, 0.5]]}')
+        with pytest.raises(ParseError, match=r"sq_distances\[0\] has a non-finite value"):
+            load_targets(str(path), mixed_framework.graph)
+
     def test_file_order_does_not_matter(self, tmp_path, mixed_framework):
         path = tmp_path / "targets.json"
         path.write_text(json.dumps({
