@@ -6,13 +6,9 @@ growth of minimally weakly rigid frameworks.
 """
 
 from .core import (
-    EdgeVectorSet,
     Framework,
     Graph,
     build_graph,
-    cosine_of_angle,
-    edge_vectors,
-    incidence_matrix,
     induced_angle_support,
     induced_distance_closure,
 )

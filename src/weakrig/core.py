@@ -17,7 +17,6 @@ from .errors import (
     CollocatedPoints,
     DegenerateAngleTriple,
     DuplicateConstraint,
-    EmptyEdgeSet,
     IndexOutOfRange,
     SelfLoop,
 )
@@ -122,21 +121,6 @@ def induced_distance_closure(g: Graph) -> Graph:
     return Graph(n=g.n, edges=closed.edges, angles=())
 
 
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Oriented incidence matrix, one row per edge in graph order.
-
-    Row ``u`` for edge ``(i, j)`` with ``i < j`` has -1 at the source ``i``
-    and +1 at the sink ``j``; every row sums to zero.
-    """
-    if not g.edges:
-        raise EmptyEdgeSet("incidence matrix needs at least one edge")
-    H = np.zeros((len(g.edges), g.n))
-    for u, (i, j) in enumerate(g.edges):
-        H[u, i] = -1.0
-        H[u, j] = 1.0
-    return H
-
-
 def collocation_tolerance(positions: np.ndarray) -> float:
     """Separation below which two points count as collocated."""
     return COLLOCATION_REL_TOL * (1.0 + float(np.max(np.abs(positions), initial=0.0)))
@@ -190,45 +174,3 @@ class Framework:
 
     def with_positions(self, positions) -> "Framework":
         return Framework(graph=self.graph, dim=self.dim, positions=np.asarray(positions, float))
-
-
-@dataclass(frozen=True)
-class EdgeVectorSet:
-    """Directed edge vectors ``z_u = p_i - p_j`` for edges ``(i, j)``, ``i < j``.
-
-    The orientation (lower index is tail, vector points tail minus head)
-    matches the distance rows of the rigidity matrices.  With the oriented
-    incidence matrix H of the same edge list, ``stacked() == -(H (x) I) p``.
-    """
-
-    edges: tuple[Edge, ...]
-    vectors: np.ndarray = field(repr=False)
-
-    def stacked(self) -> np.ndarray:
-        return self.vectors.ravel().copy()
-
-
-def edge_vectors(f: Framework, g_edges) -> EdgeVectorSet:
-    """Edge vectors of ``f`` for an ordered edge list (tail = smaller index)."""
-    edges = tuple((i, j) if i < j else (j, i) for (i, j) in g_edges)
-    vecs = np.array([f.positions[i] - f.positions[j] for (i, j) in edges])
-    return EdgeVectorSet(edges=edges, vectors=vecs)
-
-
-def cosine_of_angle(f: Framework, triple) -> float:
-    """Cosine of the angle at apex ``k`` toward ``i`` and ``j``, clamped to [-1, 1].
-
-    Evaluated as the normalized inner product of the two rays, which is the
-    law-of-cosines expression in collocation-free configurations.
-    """
-    k, i, j = triple
-    pos = f.positions
-    tol = collocation_tolerance(pos)
-    u = pos[i] - pos[k]
-    v = pos[j] - pos[k]
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < tol or nv < tol or float(np.linalg.norm(pos[i] - pos[j])) < tol:
-        raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
-    c = float(u @ v) / (nu * nv)
-    return max(-1.0, min(1.0, c))

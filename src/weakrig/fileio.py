@@ -73,6 +73,14 @@ def _value(v, where: str) -> float:
     return float(v)
 
 
+def _entries(data: dict, key: str, where: str) -> list:
+    """The list of entries under ``key``; an absent key means none."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: {key} must be a list")
+    return entries
+
+
 def _indices(entry, where: str) -> tuple[int, ...]:
     """Vertex indices of a parsed entry; integral floats such as ``1.0`` pass."""
     for v in entry:
@@ -117,8 +125,8 @@ def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
             raise ParseError(f"{where}: positions[{idx}] must be a list of {dim} numbers")
         if not all(map(_is_finite, row)):
             raise ParseError(f"{where}: positions[{idx}] has a non-finite coordinate")
-    edges = data.get("edges", [])
-    angles = data.get("angles", [])
+    edges = _entries(data, "edges", where)
+    angles = _entries(data, "angles", where)
     for idx, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2:
             raise ParseError(f"{where}: edges[{idx}] must be a pair [i, j]")
@@ -156,7 +164,7 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
     sq_map: dict = {}
-    for idx, entry in enumerate(data.get("sq_distances", [])):
+    for idx, entry in enumerate(_entries(data, "sq_distances", where)):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{where}: sq_distances[{idx}] must be [i, j, value]")
         i, j = _indices(entry[:2], f"{where}: sq_distances[{idx}]")
@@ -167,7 +175,7 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
         sq_map[key] = v
     cos_map: dict = {}
     for field, convert in (("cosines", float), ("cosines_deg", lambda d: float(np.cos(np.deg2rad(d))))):
-        for idx, entry in enumerate(data.get(field, [])):
+        for idx, entry in enumerate(_entries(data, field, where)):
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ParseError(f"{where}: {field}[{idx}] must be [k, i, j, value]")
             k, i, j = _indices(entry[:3], f"{where}: {field}[{idx}]")
@@ -223,24 +231,20 @@ def write_matrix_csv(matrix, path: str, row_labels=None) -> None:
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:
-    n = trace.positions.shape[1]
-    canonical = trace.det_z is not None and n == 3 and trace.errors.shape[1] == 3
-    lines = []
-    if canonical:
-        lines.append("time,x1,y1,x2,y2,x3,y3,e12,e13,ecos,V,detZ")
+    """One row per sample: time, coordinates, errors, V and (canonical) det Z."""
+    samples, n = trace.positions.shape[:2]
+    columns = [trace.times[:, None], trace.positions.reshape(samples, -1), trace.errors,
+               trace.lyapunov[:, None]]
+    if trace.det_z is not None and n == 3 and trace.errors.shape[1] == 3:
+        header = "time,x1,y1,x2,y2,x3,y3,e12,e13,ecos,V,detZ"
+        columns.append(trace.det_z[:, None])
     else:
         coords = ",".join(f"x{i+1},y{i+1}" for i in range(n))
         errs = ",".join(f"e{k+1}" for k in range(trace.errors.shape[1]))
-        lines.append(f"time,{coords},{errs},V")
-    for s in range(len(trace)):
-        fields = [_fmt(trace.times[s])]
-        fields.extend(_fmt(c) for c in trace.positions[s].ravel())
-        fields.extend(_fmt(e) for e in trace.errors[s])
-        fields.append(_fmt(trace.lyapunov[s]))
-        if canonical:
-            fields.append(_fmt(trace.det_z[s]))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+        header = f"time,{coords},{errs},V"
+    table = np.hstack(columns)
+    line = ",".join(["%.17g"] * table.shape[1])  # the ``_fmt`` format
+    return "\n".join([header, *(line % tuple(row.tolist()) for row in table)]) + "\n"
 
 
 def write_trace_csv(trace: SimulationTrace, path: str) -> None:

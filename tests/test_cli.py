@@ -107,6 +107,16 @@ class TestAnalyze:
         assert "non-integer vertex index" in lines[0] or "non-finite coordinate" in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, value", [("edges", 3), ("edges", None), ("angles", 2.5)])
+    def test_non_list_field_gives_one_error_line(self, tmp_path, capsys, key, value):
+        data = {"dim": 2, "positions": [list(p) for p in RHOMBUS_POS], "edges": [[0, 1]], key: value}
+        assert main(["analyze", write_json(tmp_path / "bad.json", data)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{key} must be a list" in lines[0]
+        assert captured.out == ""
+
     def test_degenerate_collinear(self, tmp_path):
         collinear = write_json(tmp_path / "collinear.json", {
             "dim": 2,
@@ -211,6 +221,22 @@ class TestSimulate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert where in lines[0]
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"sq_distances": 5}', "sq_distances"),
+        ('{"sq_distances": [[0, 1, 8.0], [0, 2, 9.0]], "cosines": null}', "cosines"),
+        ('{"sq_distances": [[0, 1, 8.0], [0, 2, 9.0]], "cosines_deg": 40}', "cosines_deg"),
+    ], ids=["int", "null", "degrees-int"])
+    def test_non_list_target_field_gives_one_error_line(self, tmp_path, capsys, text, key):
+        fw = bench_framework_file(tmp_path)
+        tg = tmp_path / "targets.json"
+        tg.write_text(text)
+        assert main(["simulate", fw, "--targets", str(tg)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{key} must be a list" in lines[0]
+        assert captured.out == ""
 
     def test_target_mismatch(self, tmp_path, capsys):
         fw = bench_framework_file(tmp_path)

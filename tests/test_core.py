@@ -1,4 +1,4 @@
-"""Graph model, induced graphs, incidence matrix, geometric primitives."""
+"""Graph model, induced graphs, geometric primitives."""
 
 from __future__ import annotations
 
@@ -11,16 +11,15 @@ from weakrig import (
     CollocatedPoints,
     DegenerateAngleTriple,
     DuplicateConstraint,
-    EmptyEdgeSet,
     Framework,
+    Graph,
     IndexOutOfRange,
     SelfLoop,
     build_graph,
-    cosine_of_angle,
-    edge_vectors,
-    incidence_matrix,
     induced_angle_support,
     induced_distance_closure,
+    weak_rigidity_function,
+    weak_rigidity_matrix,
 )
 from weakrig.core import min_separation
 
@@ -111,115 +110,68 @@ class TestInducedGraphs:
         assert gbar.angles == ()
 
 
-def _component_count(n, edges):
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    return len({find(v) for v in range(n)})
-
-
-class TestIncidenceMatrix:
-    def test_single_edge(self):
-        g = build_graph(2, edges=[(0, 1)])
-        assert np.array_equal(incidence_matrix(g), [[-1.0, 1.0]])
-
-    def test_k3(self):
-        g = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
-        expected = [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
-        assert np.array_equal(incidence_matrix(g), expected)
-
-    def test_rows_sum_to_zero(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            f = random_framework(rng, min_constraints=1)
-            if not f.graph.edges:
-                continue
-            H = incidence_matrix(f.graph)
-            assert np.all(H @ np.ones(f.graph.n) == 0.0)
-
-    def test_empty_edge_set(self):
-        with pytest.raises(EmptyEdgeSet):
-            incidence_matrix(build_graph(3, angles=[(0, 1, 2)]))
-
-    def test_rank_is_n_minus_components(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            m = int(rng.integers(1, len(pairs) + 1))
-            edges = [pairs[t] for t in rng.choice(len(pairs), size=m, replace=False)]
-            g = build_graph(n, edges=edges)
-            rank = np.linalg.matrix_rank(incidence_matrix(g))
-            assert rank == n - _component_count(n, edges)
+def _cosine(positions, triple) -> float:
+    """The kernel's cosine of one angle, on a graph with only that angle."""
+    f = Framework(Graph(len(positions), (), (triple,)), 2, positions)
+    return float(weak_rigidity_function(f)[0])
 
 
 class TestCosine:
     def test_equilateral(self):
-        f = Framework(build_graph(3), 2, TRIANGLE_POS)
-        assert cosine_of_angle(f, (0, 1, 2)) == pytest.approx(0.5, abs=1e-4)
+        assert _cosine(TRIANGLE_POS, (0, 1, 2)) == pytest.approx(0.5, abs=1e-4)
 
     def test_opposite_rays(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        f = Framework(build_graph(3), 2, pos)
-        assert cosine_of_angle(f, (0, 1, 2)) == -1.0
+        assert _cosine(pos, (0, 1, 2)) == -1.0
 
     def test_aligned_rays(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        f = Framework(build_graph(3), 2, pos)
-        assert cosine_of_angle(f, (0, 1, 2)) == 1.0
+        assert _cosine(pos, (0, 1, 2)) == 1.0
 
     def test_collocated(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        f = Framework(build_graph(3), 2, pos)
         with pytest.raises(CollocatedPoints):
-            cosine_of_angle(f, (0, 1, 1))
+            _cosine(pos, (0, 1, 1))
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             pos = random_positions(rng, 3)
-            f = Framework(build_graph(3), 2, pos)
-            c0 = cosine_of_angle(f, (0, 1, 2))
+            c0 = _cosine(pos, (0, 1, 2))
             theta = rng.uniform(0, 2 * np.pi)
             Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
             scale = rng.uniform(0.2, 5.0)
             shift = rng.normal(size=2)
-            f2 = Framework(build_graph(3), 2, scale * pos @ Q.T + shift)
-            assert cosine_of_angle(f2, (0, 1, 2)) == pytest.approx(c0, abs=1e-12)
+            assert _cosine(scale * pos @ Q.T + shift, (0, 1, 2)) == pytest.approx(c0, abs=1e-12)
 
 
 class TestEdgeVectors:
+    """Distance rows of R_W are twice the edge vectors ``z_u = p_i - p_j``, ``i < j``."""
+
     def test_orientation(self):
         pos = np.array([[0.0, 0.0], [3.0, 4.0]])
         f = Framework(build_graph(2, edges=[(0, 1)]), 2, pos)
-        ev = edge_vectors(f, f.graph.edges)
-        assert np.array_equal(ev.vectors, [[-3.0, -4.0]])
+        assert np.array_equal(weak_rigidity_matrix(f).matrix, [[-6.0, -8.0, 6.0, 8.0]])
 
     def test_matches_incidence_lift(self):
-        # The stacked edge vectors are minus the incidence lift of the
-        # configuration (vectors point tail minus head, rows are -1/+1 at
-        # source/sink).
+        # With the oriented incidence matrix H (-1 at the tail i, +1 at the
+        # head j), the stacked edge vectors are -(H (x) I) p and the distance
+        # rows are 2 diag(z_u^T) times that lift's negative.
         g = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
         f = Framework(g, 2, TRIANGLE_POS)
-        H = incidence_matrix(g)
-        lifted = np.kron(H, np.eye(2)) @ f.config()
-        assert np.allclose(edge_vectors(f, g.edges).stacked(), -lifted, atol=1e-15)
+        H = np.zeros((g.m, g.n))
+        for u, (i, j) in enumerate(g.edges):
+            H[u, i], H[u, j] = -1.0, 1.0
+        lift = np.kron(H, np.eye(2))
+        z = -(lift @ f.config()).reshape(g.m, 2)
+        rows = np.stack([2.0 * z[u] @ -lift[2 * u:2 * u + 2] for u in range(g.m)])
+        assert np.allclose(weak_rigidity_matrix(f).matrix, rows, atol=1e-15)
 
     def test_translation_invariance(self):
         g = build_graph(3, edges=[(0, 1), (1, 2)])
         f = Framework(g, 2, TRIANGLE_POS)
         shifted = Framework(g, 2, TRIANGLE_POS + np.array([5.0, -7.0]))
-        assert np.allclose(
-            edge_vectors(f, g.edges).vectors,
-            edge_vectors(shifted, g.edges).vectors,
-        )
+        assert np.allclose(weak_rigidity_matrix(f).matrix, weak_rigidity_matrix(shifted).matrix)
 
 
 class TestFramework:

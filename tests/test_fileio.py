@@ -80,6 +80,13 @@ class TestFrameworkFiles:
         assert f.graph.edges == ((0, 1),) and f.graph.angles == ((2, 0, 1),)
         assert all(type(v) is int for v in f.graph.edges[0] + f.graph.angles[0])
 
+    @pytest.mark.parametrize("key", ["edges", "angles"])
+    @pytest.mark.parametrize("value", [3, None, "01", {}], ids=["int", "null", "string", "object"])
+    def test_non_list_field_names_the_key(self, key, value):
+        data = {"dim": 2, "positions": [list(p) for p in TRIANGLE_POS], key: value}
+        with pytest.raises(ParseError, match=f"<framework>: {key} must be a list$"):
+            framework_from_dict(data)
+
     def test_json_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "dim": 2\n  "positions": []\n}')
@@ -123,6 +130,12 @@ class TestTargetFiles:
     def test_bad_value_names_the_entry(self, mixed_framework, data, where, why):
         with pytest.raises(ParseError, match=where + ".*" + why):
             targets_from_dict(data, mixed_framework.graph)
+
+    @pytest.mark.parametrize("key", ["sq_distances", "cosines", "cosines_deg"])
+    @pytest.mark.parametrize("value", [5, None, "8", {}], ids=["int", "null", "string", "object"])
+    def test_non_list_field_names_the_key(self, mixed_framework, key, value):
+        with pytest.raises(ParseError, match=f"<targets>: {key} must be a list$"):
+            targets_from_dict({key: value}, mixed_framework.graph)
 
     def test_nan_literal_in_file_rejected(self, tmp_path, mixed_framework):
         path = tmp_path / "targets.json"

@@ -226,12 +226,13 @@ class TestSimulate:
     def test_degenerate_guard(self, bench_targets):
         # The continuous flow cannot collocate agents in finite time, so the
         # guard is exercised directly on a sub-tolerance state.
-        from weakrig.formation import _simulate_canonical
+        from weakrig.formation import _collocated_three, _rk4
 
-        x0 = (0.0, 0.0, 1e-12, 0.0, 1.0, 1.0)
+        x0 = np.array([0.0, 0.0, 1e-12, 0.0, 1.0, 1.0])
         targets = tuple(v for _, v in bench_targets.sq_distances) + (bench_targets.cosines[0][1],)
-        trace = _simulate_canonical(x0, targets, SimulationConfig(dt=1e-3, t_max=1.0))
-        assert trace.terminal_status == "degenerate"
+        *_, status = _rk4(x0, lambda x: _rhs_canonical(x, *targets), _collocated_three,
+                          SimulationConfig(dt=1e-3, t_max=1.0))
+        assert status == "degenerate"
 
     def test_generic_topology_converges(self):
         # Distance-only triangle: the generic integrator path.
@@ -250,8 +251,8 @@ class TestSimulate:
             f = random_three_agent_state(rng)
             t = random_targets(rng)
             u_lib = control_law(f, t)
-            u_fast, *_ = _rhs_canonical(tuple(f.config()), *(v for _, v in t.sq_distances),
-                                        t.cosines[0][1])
+            u_fast, _ = _rhs_canonical(f.config(), *(v for _, v in t.sq_distances),
+                                       t.cosines[0][1])
             u_gen, errs = _rhs_generic(f.positions, f.graph, t.values())
             assert np.max(np.abs(u_lib - np.array(u_fast))) < 1e-13
             assert np.max(np.abs(u_lib - u_gen.ravel())) < 1e-13

@@ -13,14 +13,15 @@ from weakrig import (
     CollocatedPoints,
     EdgeNotFound,
     Framework,
+    Graph,
     SeedNotRigid,
     apply_extension,
     build_graph,
     classify_infinitesimal_weak_rigidity,
-    cosine_of_angle,
     grow_random,
     is_minimally_weakly_rigid,
     replay_growth,
+    weak_rigidity_function,
     weakly_rigid_0_extension,
     weakly_rigid_1_extension,
 )
@@ -82,8 +83,9 @@ class TestOneExtension:
         f = weakly_rigid_0_extension(triangle_k3, 1, 2, NEW_POS)
         pos = f.positions
 
-        def angle(k, i, j):
-            return math.acos(cosine_of_angle(f, (k, i, j)))
+        def angle(k, i, j):  # from the cosine of a graph with only this angle
+            one = Framework(Graph(f.n, (), ((k, i, j),)), 2, pos)
+            return math.acos(weak_rigidity_function(one)[0])
 
         d_12 = np.linalg.norm(pos[1] - pos[2])
         d_13 = np.linalg.norm(pos[1] - pos[3])
