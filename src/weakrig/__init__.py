@@ -55,7 +55,6 @@ from .henneberg import (
     GrowthResult,
     apply_extension,
     grow_random,
-    replay_growth,
     weakly_rigid_0_extension,
     weakly_rigid_1_extension,
 )
@@ -67,7 +66,6 @@ from .rigidity import (
     classify_infinitesimal_weak_rigidity,
     classify_weak_rigidity_3d,
     cosine_edge_partials,
-    cosine_gradient_blocks,
     distance_rigidity_matrix,
     finite_difference_weak_rigidity_matrix,
     is_minimally_weakly_rigid,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,31 +44,26 @@ GRADIENT_CHECK_THRESHOLD = 1e-6
 K3_SEED_POSITIONS = [[-1.732, 0.0], [0.0, 1.0], [0.0, -1.0]]
 
 
-def _positive(name):
+def _number(name, ok, requirement):
+    """An argparse type: a finite float for which ``ok`` holds."""
     def parse(text):
         value = float(text)
-        if value <= 0.0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {text}")
         return value
     return parse
+
+
+def _positive(name):
+    return _number(name, lambda v: v > 0.0, "finite and positive")
 
 
 def _non_negative(name):
-    def parse(text):
-        value = float(text)
-        if value < 0.0:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {text}")
-        return value
-    return parse
+    return _number(name, lambda v: v >= 0.0, "finite and >= 0")
 
 
 def _fraction(name):
-    def parse(text):
-        value = float(text)
-        if not 0.0 <= value <= 1.0:
-            raise argparse.ArgumentTypeError(f"{name} must lie in [0, 1], got {text}")
-        return value
-    return parse
+    return _number(name, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", type=_fraction("--mix"), default=0.5,
                    help="probability of a 0-extension per step (default 0.5)")
     p.add_argument("--out", help="write the final framework JSON here")
-    p.add_argument("--log", help="write the replayable growth log here")
+    p.add_argument("--log", help="write the growth log (one JSON step per line) here")
 
     p = sub.add_parser("check-gradient", help="compare the analytic matrix to finite differences")
     p.add_argument("framework", help="framework JSON file")

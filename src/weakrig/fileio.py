@@ -17,7 +17,6 @@ import numpy as np
 from .core import Framework, build_graph
 from .errors import ParseError, WeakRigError
 from .formation import SimulationTrace, TargetSpec, align_targets
-from .henneberg import ExtensionStep
 from .rigidity import RigidityReport
 
 
@@ -261,20 +260,3 @@ def growth_log_to_text(steps) -> str:
 
 def write_growth_log(steps, path: str) -> None:
     _atomic_write(path, growth_log_to_text(steps))
-
-
-def read_growth_log(path: str) -> list[ExtensionStep]:
-    steps = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    steps.append(ExtensionStep.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}:{lineno}: bad growth-log entry ({exc})") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return steps

@@ -279,6 +279,9 @@ class SimulationConfig:
     divergence_bound: float = 1e6
 
     def __post_init__(self):
+        for name in ("dt", "t_max", "convergence_eps", "divergence_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_max < 0.0:

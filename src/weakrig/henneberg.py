@@ -4,9 +4,11 @@ A 0-extension adjoins a vertex and two new subtended angles anchored at an
 existing vertex pair; a 1-extension removes one edge and adjoins a vertex
 with three new angles (the third one, at a witness vertex, replaces the
 removed edge).  Both operations add one vertex and a net of two
-constraints, preserving the count ``|E| + |A| = 2n - 3``.  The random
-generator verifies each step with the rank test instead of trusting the
-construction unconditionally.
+constraints, preserving the count ``|E| + |A| = 2n - 3``.  An
+:class:`ExtensionStep` describes one such operation and
+:func:`apply_extension` builds it.  The random generator proposes steps,
+builds each one and keeps it only if the result passes the rank test,
+instead of trusting the construction unconditionally.
 """
 
 from __future__ import annotations
@@ -16,18 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Framework, build_graph, collocation_tolerance
+from .core import Framework, build_graph
 from .errors import (
     BadAnchor,
     CollinearPlacement,
     CollocatedPoints,
+    DuplicateConstraint,
     EdgeNotFound,
     PlacementExhausted,
     SeedNotRigid,
 )
-from .rigidity import is_minimally_weakly_rigid
+from .rigidity import is_minimally_weakly_rigid, weak_rigidity_function
 
 MIN_ANGLE_DEG = 5.0
+MAX_ABS_COSINE = math.cos(math.radians(MIN_ANGLE_DEG))
 MIN_SEPARATION_FRACTION = 0.1
 MAX_PLACEMENT_ATTEMPTS = 1000
 
@@ -37,7 +41,10 @@ KIND_1_EXTENSION = "1-extension"
 
 @dataclass(frozen=True)
 class ExtensionStep:
-    """Replayable record of one construction step."""
+    """One construction step: a growth proposal, and once accepted a growth-log line.
+
+    ``anchors`` are ``(i, j)``, or ``(i, j, k)`` (split edge, then witness).
+    """
 
     kind: str
     new_vertex: int
@@ -56,17 +63,6 @@ class ExtensionStep:
             "removed_edge": list(self.removed_edge) if self.removed_edge else None,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExtensionStep":
-        return ExtensionStep(
-            kind=d["kind"],
-            new_vertex=int(d["new_vertex"]),
-            anchors=tuple(int(v) for v in d["anchors"]),
-            added_angles=tuple(tuple(int(v) for v in a) for a in d["added_angles"]),
-            new_position=tuple(float(v) for v in d["new_position"]),
-            removed_edge=tuple(int(v) for v in d["removed_edge"]) if d.get("removed_edge") else None,
-        )
-
 
 def _check_anchor_pair(f: Framework, i: int, j: int) -> None:
     n = f.graph.n
@@ -76,27 +72,29 @@ def _check_anchor_pair(f: Framework, i: int, j: int) -> None:
         raise BadAnchor(f"anchors must be distinct, got ({i},{j})")
 
 
-def _check_placement(f: Framework, i: int, j: int, pos: np.ndarray) -> None:
-    tol = collocation_tolerance(np.vstack([f.positions, pos]))
-    for v in range(f.graph.n):
-        if float(np.linalg.norm(f.positions[v] - pos)) < tol:
-            raise CollocatedPoints(f"new position coincides with vertex {v}")
+def _extend(f: Framework, i: int, j: int, pos, edges, witness_angles) -> Framework:
+    """``f`` on ``edges``, plus a vertex at ``pos`` seen from ``i`` and ``j``.
+
+    The new angles at ``i`` and ``j`` come first, then ``witness_angles``.
+    A point on the line through ``i`` and ``j`` raises CollinearPlacement.
+    """
+    nu = f.graph.n
+    pos = np.asarray(pos, float)
+    angles = [*f.graph.angles, (i, j, nu), (j, i, nu), *witness_angles]
+    graph = build_graph(nu + 1, edges=edges, angles=angles)
+    extended = Framework(graph=graph, dim=2, positions=np.vstack([f.positions, pos]))
     a = f.positions[j] - f.positions[i]
     b = pos - f.positions[i]
     cross = abs(float(a[0] * b[1] - a[1] * b[0]))
     if cross < 1e-9 * float(np.linalg.norm(a)) * float(np.linalg.norm(b)):
         raise CollinearPlacement(f"new position lies on the line through vertices {i} and {j}")
+    return extended
 
 
 def weakly_rigid_0_extension(f: Framework, i: int, j: int, pos) -> Framework:
     """Adjoin a vertex at ``pos`` plus the two angles at ``i`` and ``j`` toward it."""
     _check_anchor_pair(f, i, j)
-    pos = np.asarray(pos, float)
-    _check_placement(f, i, j, pos)
-    nu = f.graph.n
-    angles = list(f.graph.angles) + [(i, j, nu), (j, i, nu)]
-    graph = build_graph(nu + 1, edges=f.graph.edges, angles=angles)
-    return Framework(graph=graph, dim=2, positions=np.vstack([f.positions, pos]))
+    return _extend(f, i, j, pos, f.graph.edges, ())
 
 
 def weakly_rigid_1_extension(f: Framework, i: int, j: int, k: int, pos) -> Framework:
@@ -114,17 +112,12 @@ def weakly_rigid_1_extension(f: Framework, i: int, j: int, k: int, pos) -> Frame
         raise BadAnchor(f"witness vertex {k} out of range for n={n}")
     if k in (i, j):
         raise BadAnchor(f"witness vertex {k} must differ from the split edge {edge}")
-    pos = np.asarray(pos, float)
-    _check_placement(f, i, j, pos)
-    nu = n
     edges = [e for e in f.graph.edges if e != edge]
-    angles = list(f.graph.angles) + [(i, j, nu), (j, i, nu), (k, i, j)]
-    graph = build_graph(nu + 1, edges=edges, angles=angles)
-    return Framework(graph=graph, dim=2, positions=np.vstack([f.positions, pos]))
+    return _extend(f, i, j, pos, edges, [(k, i, j)])
 
 
 def apply_extension(f: Framework, step: ExtensionStep) -> Framework:
-    """Replay a recorded step on a framework."""
+    """Build the framework that ``step`` makes of ``f``."""
     if step.kind == KIND_0_EXTENSION:
         i, j = step.anchors
         return weakly_rigid_0_extension(f, i, j, step.new_position)
@@ -136,7 +129,10 @@ def apply_extension(f: Framework, step: ExtensionStep) -> Framework:
 
 @dataclass(frozen=True)
 class GrowthResult:
-    """Seed plus every intermediate framework, with the replayable steps."""
+    """Seed plus every intermediate framework and the steps between them.
+
+    ``apply_extension(frameworks[t], steps[t])`` gives ``frameworks[t + 1]``.
+    """
 
     frameworks: tuple[Framework, ...]
     steps: tuple[ExtensionStep, ...]
@@ -146,23 +142,44 @@ class GrowthResult:
         return self.frameworks[-1]
 
 
-def _angle_deg(pk, pi, pj) -> float:
-    u = pi - pk
-    v = pj - pk
-    c = float(u @ v) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
+def _propose(f: Framework, rng: np.random.Generator, mix: float) -> ExtensionStep:
+    """Draw a random extension of ``f``; the draw order fixes every seed's output.
+
+    The kind, the position (in the bounding box widened by half the diameter
+    on each side), then the anchor pair, or the split edge and the witness.
+    """
+    zero = rng.random() < mix or f.graph.m <= 2
+    lo = f.positions.min(axis=0)
+    hi = f.positions.max(axis=0)
+    diameter = float(np.linalg.norm(hi - lo))
+    pos = lo - 0.5 * diameter + rng.random(2) * (hi - lo + diameter)
+    position = (float(pos[0]), float(pos[1]))
+    nu = f.graph.n
+    if zero:
+        i, j = (int(v) for v in rng.choice(nu, size=2, replace=False))
+        return ExtensionStep(KIND_0_EXTENSION, nu, (i, j), ((i, j, nu), (j, i, nu)), position)
+    i, j = f.graph.edges[int(rng.integers(f.graph.m))]
+    others = [v for v in range(nu) if v not in (i, j)]
+    k = others[int(rng.integers(len(others)))]
+    return ExtensionStep(KIND_1_EXTENSION, nu, (i, j, k),
+                         ((i, j, nu), (j, i, nu), (k, i, j)), position, removed_edge=(i, j))
 
 
-def _placement_ok(f: Framework, pos: np.ndarray, new_angles, diameter: float) -> bool:
-    if min(float(np.linalg.norm(f.positions[v] - pos)) for v in range(f.graph.n)) \
-            < MIN_SEPARATION_FRACTION * diameter:
+def _acceptable(candidate: Framework, step: ExtensionStep) -> bool:
+    """The acceptance test of a built candidate.
+
+    The new vertex keeps ``MIN_SEPARATION_FRACTION`` of the parent's
+    diameter from every vertex, no new angle lies within ``MIN_ANGLE_DEG``
+    of 0 or 180 degrees, and the candidate is minimally weakly rigid.
+    """
+    parent, new = candidate.positions[:-1], candidate.positions[-1]
+    diameter = float(np.linalg.norm(parent.max(axis=0) - parent.min(axis=0)))
+    if np.linalg.norm(parent - new, axis=1).min() < MIN_SEPARATION_FRACTION * diameter:
         return False
-    stacked = np.vstack([f.positions, pos])
-    for (k, i, j) in new_angles:
-        deg = _angle_deg(stacked[k], stacked[i], stacked[j])
-        if not MIN_ANGLE_DEG < deg < 180.0 - MIN_ANGLE_DEG:
-            return False
-    return True
+    new_cosines = weak_rigidity_function(candidate)[-len(step.added_angles):]
+    if np.abs(new_cosines).max() >= MAX_ABS_COSINE:
+        return False
+    return bool(is_minimally_weakly_rigid(candidate))
 
 
 def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float = 0.5) -> GrowthResult:
@@ -173,79 +190,32 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float
     an edge of a two-edge framework leaves a single edge, and a rigid
     framework with exactly one edge is never minimal: its angle rows alone
     must already reach rank 2n-4, so the surviving edge is removable.
-    Splitting the last edge breaks the count balance outright.)  Every
-    step is rejection-sampled until the extended framework passes the
-    single-removal minimality test, which one SVD of ``R_W`` decides: the
-    framework must be rigid, its constraint rows independent, and its edge
-    count not exactly one.  A step that fails 1000 attempts raises
-    PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
+    Splitting the last edge breaks the count balance outright.)  Each
+    attempt builds a proposed step and keeps it if it passes the
+    placement bounds and the single-removal minimality test.  A proposal
+    that cannot be built (collinear or collocated, or re-adding an angle
+    the graph has) is rejected too.  A step that fails 1000 attempts
+    raises PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
     """
     if not is_minimally_weakly_rigid(seed_framework):
         raise SeedNotRigid("growth seed must be minimally (weakly) rigid")
     rng = np.random.default_rng(rng_seed)
     frameworks = [seed_framework]
     log: list[ExtensionStep] = []
-    f = seed_framework
     for _ in range(steps):
-        accepted = None
+        f = frameworks[-1]
         for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
-            want_zero = rng.random() < mix or f.graph.m <= 2
-            lo = f.positions.min(axis=0)
-            hi = f.positions.max(axis=0)
-            diameter = float(np.linalg.norm(hi - lo))
-            pos = lo - 0.5 * diameter + rng.random(2) * (hi - lo + diameter)
-            nu = f.graph.n
-            if want_zero:
-                i, j = (int(v) for v in rng.choice(nu, size=2, replace=False))
-                new_angles = [(i, j, nu), (j, i, nu)]
-                if not _placement_ok(f, pos, new_angles, diameter):
-                    continue
-                try:
-                    candidate = weakly_rigid_0_extension(f, i, j, pos)
-                except (CollinearPlacement, CollocatedPoints):
-                    continue
-                step = ExtensionStep(
-                    kind=KIND_0_EXTENSION,
-                    new_vertex=nu,
-                    anchors=(i, j),
-                    added_angles=((i, j, nu), (j, i, nu)),
-                    new_position=(float(pos[0]), float(pos[1])),
-                )
-            else:
-                i, j = f.graph.edges[int(rng.integers(f.graph.m))]
-                others = [v for v in range(nu) if v not in (i, j)]
-                k = int(others[int(rng.integers(len(others)))])
-                new_angles = [(i, j, nu), (j, i, nu), (k, i, j)]
-                if not _placement_ok(f, pos, new_angles, diameter):
-                    continue
-                try:
-                    candidate = weakly_rigid_1_extension(f, i, j, k, pos)
-                except (CollinearPlacement, CollocatedPoints):
-                    continue
-                step = ExtensionStep(
-                    kind=KIND_1_EXTENSION,
-                    new_vertex=nu,
-                    anchors=(i, j, k),
-                    added_angles=((i, j, nu), (j, i, nu), (k, i, j)),
-                    new_position=(float(pos[0]), float(pos[1])),
-                    removed_edge=(i, j),
-                )
-            if is_minimally_weakly_rigid(candidate):
-                accepted = (candidate, step)
+            step = _propose(f, rng, mix)
+            try:
+                candidate = apply_extension(f, step)
+            except (CollinearPlacement, CollocatedPoints, DuplicateConstraint):
+                continue
+            if _acceptable(candidate, step):
                 break
-        if accepted is None:
+        else:
             raise PlacementExhausted(
                 f"no acceptable extension after {MAX_PLACEMENT_ATTEMPTS} attempts at n={f.graph.n}"
             )
-        f, step = accepted
-        frameworks.append(f)
+        frameworks.append(candidate)
         log.append(step)
     return GrowthResult(frameworks=tuple(frameworks), steps=tuple(log))
-
-
-def replay_growth(seed_framework: Framework, steps) -> GrowthResult:
-    """Reconstruct a growth sequence from recorded steps."""
-    frameworks = [seed_framework]
-    for step in steps:
-        frameworks.append(apply_extension(frameworks[-1], step))
-    return GrowthResult(frameworks=tuple(frameworks), steps=tuple(steps))

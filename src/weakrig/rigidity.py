@@ -132,20 +132,6 @@ def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=F
     return values, R, grad
 
 
-def cosine_gradient_blocks(f: Framework, triple):
-    """Per-vertex gradient rows of a constrained cosine.
-
-    For triple ``(k, i, j)`` returns ``(g_k, g_i, g_j)``: the derivative of
-    ``cos`` of the angle at apex ``k`` with respect to the positions of
-    ``k``, ``i`` and ``j``, read off the kernel's one-angle ``R_W`` row.  The
-    blocks sum to zero (translation invariance) and annihilate both the
-    rotation field and the configuration itself.
-    """
-    one_angle = compile_graph(Graph(n=f.n, angles=(tuple(triple),)), f.dim)
-    row = constraint_kernel(f.positions, one_angle, matrix=True)[1].reshape(f.n, f.dim)
-    return tuple(row[list(triple)])
-
-
 def compile_planar(f: Framework, what: str = "weak rigidity function") -> CompiledGraph:
     """The compiled graph of a 2D framework; ValueError in 3D."""
     if f.dim != 2:

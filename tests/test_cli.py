@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from weakrig.cli import main
+from weakrig import ExtensionStep, Framework, apply_extension, build_graph, grow_random
+from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
 from weakrig.fileio import load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
 
@@ -289,6 +291,68 @@ class TestGrow:
 
     def test_n_too_small(self, capsys):
         assert main(["grow", "--n", "2", "--seed", "1"]) == 1
+
+    def test_log_round_trip(self, tmp_path, capsys):
+        # Each log line is one step's dict; folding the steps rebuilt from
+        # those dicts over the seed gives the --out framework.
+        out_path, log_path = tmp_path / "g12.json", tmp_path / "g12.log"
+        assert main(["grow", "--n", "12", "--seed", "42",
+                     "--out", str(out_path), "--log", str(log_path)]) == 0
+        seed = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2,
+                         np.array(K3_SEED_POSITIONS))
+        steps = grow_random(seed, steps=9, rng_seed=42).steps
+        lines = log_path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [s.to_dict() for s in steps]
+        f = seed
+        for line in lines:
+            d = json.loads(line)
+            f = apply_extension(f, ExtensionStep(
+                kind=d["kind"],
+                new_vertex=d["new_vertex"],
+                anchors=tuple(d["anchors"]),
+                added_angles=tuple(map(tuple, d["added_angles"])),
+                new_position=tuple(d["new_position"]),
+                removed_edge=tuple(d["removed_edge"]) if d["removed_edge"] else None,
+            ))
+        grown = load_framework(str(out_path))
+        assert np.array_equal(f.positions, grown.positions)
+        assert f.graph == grown.graph
+
+    # SHA-1s of the --out and --log bytes; they pin the order of the random
+    # draws, so a refactor of the generator must reproduce them exactly.
+    @pytest.mark.parametrize("n, seed, mix, out_sha, log_sha", [
+        (12, 42, "0.5", "9bad46a5db358c08d363dedaafe301e54cb30a6c",
+         "2bc467b5f22f360b2873757bb792fa09c8e9beaf"),
+        (20, 7, "0.5", "bf4f2faf078c6d80ac306568387102d7c52115d9",
+         "788f731444e9705cc15dd2c4e2340aa2dbd49874"),
+        (16, 3, "0.0", "a68b3b122add48baedf67ae5b5f27b7eea23d191",
+         "41c4af8cf4d0d9ec49829848008fa7a6ba6cfb31"),
+    ])
+    def test_golden_output(self, tmp_path, capsys, n, seed, mix, out_sha, log_sha):
+        out_path, log_path = tmp_path / "out.json", tmp_path / "out.log"
+        assert main(["grow", "--n", str(n), "--seed", str(seed), "--mix", mix,
+                     "--out", str(out_path), "--log", str(log_path)]) == 0
+        assert hashlib.sha1(out_path.read_bytes()).hexdigest() == out_sha
+        assert hashlib.sha1(log_path.read_bytes()).hexdigest() == log_sha
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "fw.json", "--targets", "t.json", "--dt", "nan"],
+        ["simulate", "fw.json", "--targets", "t.json", "--dt", "inf"],
+        ["simulate", "fw.json", "--targets", "t.json", "--eps", "nan"],
+        ["simulate", "fw.json", "--targets", "t.json", "--t-max", "inf"],
+        ["simulate", "fw.json", "--targets", "t.json", "--t-max", "nan"],
+        ["analyze", "fw.json", "--tol", "nan"],
+        ["analyze", "fw.json", "--tol", "inf"],
+        ["check-gradient", "fw.json", "--fd-step=-inf"],
+        ["grow", "--n", "5", "--seed", "1", "--mix", "nan"],
+    ])
+    def test_rejected_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
 
 
 class TestCheckGradient:

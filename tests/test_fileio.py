@@ -8,15 +8,13 @@ import os
 import numpy as np
 import pytest
 
-from weakrig import Framework, ParseError, build_graph, grow_random
+from weakrig import Framework, ParseError, build_graph
 from weakrig.fileio import (
     dump_framework,
     framework_from_dict,
     load_framework,
     load_targets,
-    read_growth_log,
     targets_from_dict,
-    write_growth_log,
 )
 
 from conftest import TRIANGLE_POS
@@ -166,20 +164,6 @@ class TestMatrixCsv:
         assert lines[3].startswith("cos_0_1_2,")
         values = [float(v) for v in lines[1].split(",")[1:]]
         assert values == pytest.approx(list(R.matrix[0]))
-
-
-class TestGrowthLog:
-    def test_round_trip(self, tmp_path, triangle_k3):
-        result = grow_random(triangle_k3, steps=3, rng_seed=17)
-        path = tmp_path / "steps.log"
-        write_growth_log(result.steps, str(path))
-        assert tuple(read_growth_log(str(path))) == result.steps
-
-    def test_bad_line_diagnostic(self, tmp_path):
-        path = tmp_path / "steps.log"
-        path.write_text('{"kind": "0-extension"}\n')
-        with pytest.raises(ParseError, match="steps.log:1"):
-            read_growth_log(str(path))
 
 
 class TestWrittenFileMode:

@@ -159,6 +159,12 @@ def _collinear_start(rng):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["dt", "t_max", "convergence_eps", "divergence_bound"])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimulationConfig(**{name: value})
+
     def test_already_converged(self, bench_targets):
         f = realize_canonical_targets(bench_targets)
         trace = simulate(f, bench_targets)

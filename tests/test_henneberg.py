@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,7 +13,9 @@ from weakrig import (
     BadAnchor,
     CollinearPlacement,
     CollocatedPoints,
+    DuplicateConstraint,
     EdgeNotFound,
+    ExtensionStep,
     Framework,
     Graph,
     SeedNotRigid,
@@ -20,11 +24,13 @@ from weakrig import (
     classify_infinitesimal_weak_rigidity,
     grow_random,
     is_minimally_weakly_rigid,
-    replay_growth,
     weak_rigidity_function,
     weakly_rigid_0_extension,
     weakly_rigid_1_extension,
 )
+
+from weakrig.fileio import framework_to_dict, growth_log_to_text
+from weakrig.henneberg import _acceptable
 
 from conftest import TRIANGLE_POS
 
@@ -56,8 +62,9 @@ class TestZeroExtension:
             weakly_rigid_0_extension(triangle_k3, 1, 2, midpoint)
 
     def test_collocated_placement(self, triangle_k3):
-        with pytest.raises(CollocatedPoints):
-            weakly_rigid_0_extension(triangle_k3, 1, 2, triangle_k3.positions[0])
+        for v in (0, 1, 2):  # another vertex, or either anchor (also on their line)
+            with pytest.raises(CollocatedPoints):
+                weakly_rigid_0_extension(triangle_k3, 1, 2, triangle_k3.positions[v])
 
 
 class TestOneExtension:
@@ -150,12 +157,82 @@ class TestGrowRandom:
 
     def test_replay_reconstructs(self, triangle_k3):
         grown = grow_random(triangle_k3, steps=4, rng_seed=21)
-        replayed = replay_growth(triangle_k3, grown.steps)
-        assert np.array_equal(replayed.final.positions, grown.final.positions)
-        assert replayed.final.graph == grown.final.graph
+        f = triangle_k3
+        for step, expected in zip(grown.steps, grown.frameworks[1:]):
+            f = apply_extension(f, step)
+            assert np.array_equal(f.positions, expected.positions)
+            assert f.graph == expected.graph
 
     def test_apply_extension_roundtrip(self, triangle_k3):
         grown = grow_random(triangle_k3, steps=1, rng_seed=33)
         again = apply_extension(triangle_k3, grown.steps[0])
         assert np.array_equal(again.positions, grown.final.positions)
         assert again.graph == grown.final.graph
+
+    def test_golden_one_extensions(self):
+        # From this seven-edge seed five of the eight steps split an edge, so,
+        # unlike from the triangle ``grow`` starts with (whose one split has a
+        # single witness to pick), the edge and witness draws both count.  The
+        # SHA-1 of the log and the final framework pins the draw order.
+        g = build_graph(5, edges=[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+        seed = Framework(g, 2, np.array([[0.0, 0.0], [2.0, 0.3], [0.8, 1.7], [2.6, 2.1], [1.1, 3.4]]))
+        result = grow_random(seed, steps=8, rng_seed=0, mix=0.25)
+        assert sum(s.kind == "1-extension" for s in result.steps) == 5
+        text = growth_log_to_text(result.steps) + json.dumps(framework_to_dict(result.final),
+                                                             sort_keys=True)
+        assert hashlib.sha1(text.encode()).hexdigest() == "463e2bfc76dcd274b6e9b4275a410f4fe0490663"
+
+    def test_duplicate_witness_angle_is_rejected(self):
+        # Splitting edge (0, 1) with witness 3 would add the seed's angle
+        # (3, 0, 1) a second time; such a proposal is retried, not raised.
+        seed = angle_seed()
+        assert is_minimally_weakly_rigid(seed).minimal
+        for rng_seed in range(40):  # seeds 1, 19, 20, 24, 29, ... draw that split
+            result = grow_random(seed, steps=3, rng_seed=rng_seed, mix=0.0)
+            for f in result.frameworks:
+                assert is_minimally_weakly_rigid(f).minimal
+
+
+def angle_seed() -> Framework:
+    """Minimally rigid: a triangle plus a vertex held by one edge and the angle (3, 0, 1)."""
+    g = build_graph(4, edges=[(0, 1), (0, 2), (1, 2), (2, 3)], angles=[(3, 0, 1)])
+    return Framework(g, 2, np.array([[0.0, 0.0], [2.0, 0.0], [0.7, 1.6], [1.3, -1.4]]))
+
+
+def zero_step(pos, anchors=(1, 2)):
+    i, j = anchors
+    return ExtensionStep("0-extension", 3, (i, j), ((i, j, 3), (j, i, 3)), pos)
+
+
+class TestRejectionCauses:
+    """Each cause on a hand-built step on the triangle (diameter ~2.65)."""
+
+    def test_too_close(self, triangle_k3):
+        # 0.14 from vertex 1, under a tenth of the diameter; angles and rank fine.
+        step = zero_step((0.1, 0.9), anchors=(0, 2))
+        candidate = apply_extension(triangle_k3, step)
+        assert is_minimally_weakly_rigid(candidate).minimal
+        assert not _acceptable(candidate, step)
+
+    def test_angle_under_five_degrees(self, triangle_k3):
+        # Seen from vertex 1, the new vertex is 1.4 degrees off vertex 2.
+        step = zero_step((0.1, -3.0))
+        candidate = apply_extension(triangle_k3, step)
+        assert math.degrees(math.acos(weak_rigidity_function(candidate)[-2])) < 5.0
+        assert np.linalg.norm(candidate.positions[:3] - candidate.positions[3], axis=1).min() > 1.0
+        assert is_minimally_weakly_rigid(candidate).minimal
+        assert not _acceptable(candidate, step)
+
+    def test_collinear(self, triangle_k3):
+        with pytest.raises(CollinearPlacement):
+            apply_extension(triangle_k3, zero_step((0.0, -3.0)))
+
+    def test_acceptable_step(self, triangle_k3):
+        step = zero_step(NEW_POS)
+        assert _acceptable(apply_extension(triangle_k3, step), step)
+
+    def test_duplicate_witness_angle(self):
+        step = ExtensionStep("1-extension", 4, (0, 1, 3), ((0, 1, 4), (1, 0, 4), (3, 0, 1)),
+                             (1.0, 1.0), removed_edge=(0, 1))
+        with pytest.raises(DuplicateConstraint, match=r"angle \(3, 0, 1\)"):
+            apply_extension(angle_seed(), step)
