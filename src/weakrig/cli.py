@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .core import Framework, build_graph
+from .core import Framework, build_graph, stable_norm
 from .errors import WeakRigError
 from .formation import (
     SimulationConfig,
@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="target vertex count (>= 3)")
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--mix", type=_fraction("--mix"), default=0.5,
-                   help="probability of a 0-extension per step (default 0.5)")
+                   help="probability of a 0-extension per step (default 0.5); from the K3 "
+                        "seed at most one 1-extension happens, so this only moves when it does")
     p.add_argument("--out", help="write the final framework JSON here")
     p.add_argument("--log", help="write the growth log (one JSON step per line) here")
 
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         fileio.write_trace_csv(trace, args.out)
     terminal = f0.with_positions(trace.final_positions())
-    grad_norm = float(np.linalg.norm(control_law(terminal, targets)))
+    grad_norm = float(stable_norm(control_law(terminal, targets)))
     summary = {
         "status": trace.terminal_status,
         "steps": len(trace) - 1,

@@ -123,7 +123,7 @@ def induced_distance_closure(g: Graph) -> Graph:
 
 def collocation_tolerance(positions: np.ndarray) -> float:
     """Separation below which two points count as collocated."""
-    return COLLOCATION_REL_TOL * (1.0 + float(np.max(np.abs(positions), initial=0.0)))
+    return COLLOCATION_REL_TOL * (1.0 + float(np.abs(positions).max(initial=0.0)))
 
 
 def min_separation(positions: np.ndarray) -> float:
@@ -136,6 +136,17 @@ def min_separation(positions: np.ndarray) -> float:
     sq = (diff * diff).sum(axis=-1)
     sq.flat[:: n + 1] = math.inf  # a point's distance to itself
     return math.sqrt(sq.min())
+
+
+def stable_norm(a: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm(a, axis=axis)``, redone scaled by the row's max |entry| if it overflows."""
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(a, axis=axis, keepdims=True)
+        if not np.isfinite(norm).all():
+            scale = np.abs(a).max(axis=axis, keepdims=True)
+            scaled = scale * np.linalg.norm(a / scale, axis=axis, keepdims=True)
+            norm = np.where(np.isfinite(norm) | ~np.isfinite(scale), norm, scaled)
+    return norm.squeeze(axis)
 
 
 def collocated(positions: np.ndarray) -> bool:

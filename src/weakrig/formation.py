@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COLLOCATION_REL_TOL, Framework, Graph, build_graph, collocated
+from .core import COLLOCATION_REL_TOL, Framework, Graph, build_graph, collocated, stable_norm
 from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
     central_differences,
@@ -123,7 +123,7 @@ class ErrorVector:
     m: int
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return float(stable_norm(self.values))
 
 
 def error_vector(f: Framework, t: TargetSpec) -> ErrorVector:
@@ -230,7 +230,7 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("equilibrium classification needs the three-agent topology")
     e = error_vector(f, t)
-    gnorm = float(np.linalg.norm(control_law(f, t)))
+    gnorm = float(stable_norm(control_law(f, t)))
     enorm = e.norm()
     if enorm < tol:
         kind = "desired"
@@ -310,10 +310,10 @@ class SimulationTrace:
 def _rhs_canonical(x, d1s, d2s, cs):
     """Scalar flow for the canonical topology: ``(-R_W^T e, e)`` at the stacked state ``x``.
 
-    Python-float arithmetic on the six coordinates; at n = 3 it is about ten
-    times cheaper than :func:`constraint_kernel`.
+    Python floats in and out (lists of six coordinates); at n = 3 it is about
+    ten times cheaper than :func:`constraint_kernel`.
     """
-    x0, y0, x1, y1, x2, y2 = x.tolist()
+    x0, y0, x1, y1, x2, y2 = x
     ax = x0 - x1
     ay = y0 - y1
     bx = x0 - x2
@@ -330,21 +330,22 @@ def _rhs_canonical(x, d1s, d2s, cs):
     bgy = -by * inv + c * ay / n1
     ggx = -ax * inv + c * bx / n2
     ggy = -ay * inv + c * by / n2
-    u = np.array((
-        -(2.0 * ax * e1 + 2.0 * bx * e2) + (bgx + ggx) * ec,
-        -(2.0 * ay * e1 + 2.0 * by * e2) + (bgy + ggy) * ec,
-        2.0 * ax * e1 - bgx * ec,
-        2.0 * ay * e1 - bgy * ec,
-        2.0 * bx * e2 - ggx * ec,
-        2.0 * by * e2 - ggy * ec,
-    ))
-    return u, (e1, e2, ec)
+    dax, day = 2.0 * ax * e1, 2.0 * ay * e1  # distance-error velocity of agent 1
+    dbx, dby = 2.0 * bx * e2, 2.0 * by * e2  # and of agent 2
+    return [
+        -(dax + dbx) + (bgx + ggx) * ec,
+        -(day + dby) + (bgy + ggy) * ec,
+        dax - bgx * ec,
+        day - bgy * ec,
+        dbx - ggx * ec,
+        dby - ggy * ec,
+    ], (e1, e2, ec)
 
 
 def _collocated_three(x) -> bool:
-    """:func:`core.collocated` for three agents, in scalar arithmetic."""
-    x0, y0, x1, y1, x2, y2 = coords = x.tolist()
-    tol = COLLOCATION_REL_TOL * (1.0 + max(map(abs, coords)))
+    """:func:`core.collocated` for three agents, in scalar arithmetic on the six coordinates."""
+    x0, y0, x1, y1, x2, y2 = x
+    tol = COLLOCATION_REL_TOL * (1.0 + max(map(abs, x)))
     return min(math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2),
                math.hypot(x1 - x2, y1 - y2)) < tol
 
@@ -362,7 +363,9 @@ def _rhs_generic(positions, graph, target_values):
 def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
     """Classical fixed-step RK4 of ``p' = v`` with ``v, e = rhs(p)`` from the stacked state ``p``.
 
-    Every accepted state is recorded (as a list of floats) with its errors
+    ``p`` and ``v`` are lists of six floats (the three-agent flow) or numpy
+    arrays (the kernel flow); the type picks ``axpy(x, a, y) = x + a*y``.
+    Every accepted state is recorded as a list of floats with its errors
     ``e``; the velocity evaluated there is the next step's ``k1``, so a step
     costs four ``rhs`` calls.  A recorded state ends the run, tested in this
     order, when ``degenerate(p)`` (agents collocated), when a coordinate
@@ -370,11 +373,20 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
     ``||e|| < convergence_eps``; otherwise the run stops at ``t_max``.
     Returns ``(times, states, errors, status)``.
     """
+    listed = isinstance(p, list)  # a list state is never mutated, so it is recorded as is
+    if listed:
+        def axpy(x, a, y):  # unrolled: three times cheaper than a comprehension over zip
+            x0, x1, x2, x3, x4, x5 = x
+            y0, y1, y2, y3, y4, y5 = y
+            return [x0 + a * y0, x1 + a * y1, x2 + a * y2, x3 + a * y3, x4 + a * y4, x5 + a * y5]
+    else:
+        def axpy(x, a, y):
+            return x + a * y
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     k1, e = rhs(p)
-    times, states, errs = [0.0], [p.tolist()], [e]
+    times, states, errs = [0.0], [p if listed else p.tolist()], [e]
     if degenerate(p):
         return times, states, errs, "degenerate"
     if math.hypot(*e) < cfg.convergence_eps:
@@ -382,13 +394,14 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
     k = 0
     status = "max-time"
     while k * dt < cfg.t_max - 1e-12:
-        k2, _ = rhs(p + half * k1)
-        k3, _ = rhs(p + half * k2)
-        k4, _ = rhs(p + dt * k3)
-        p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2, _ = rhs(axpy(p, half, k1))
+        k3, _ = rhs(axpy(p, half, k2))
+        k4, _ = rhs(axpy(p, dt, k3))
+        # p + sixth*(k1 + 2k2 + 2k3 + k4), bit for bit: 1.0*k4 is exact
+        p = axpy(p, sixth, axpy(axpy(axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4))
         k += 1
         k1, e = rhs(p)
-        x = p.tolist()
+        x = p if listed else p.tolist()
         times.append(k * dt)
         states.append(x)
         errs.append(e)
@@ -407,18 +420,20 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
 def _trace(times, states, errs, status, canonical: bool) -> SimulationTrace:
     positions = np.array(states).reshape(len(states), -1, 2)
     errors = np.array(errs)
-    error_norm = np.linalg.norm(errors, axis=1)
+    error_norm = stable_norm(errors, axis=1)
     det = None
-    if canonical:  # det Z of the edge vectors p0 - p1 and p0 - p2, per sample
-        z1 = positions[:, 0] - positions[:, 1]
-        z2 = positions[:, 0] - positions[:, 2]
-        det = z1[:, 0] * z2[:, 1] - z1[:, 1] * z2[:, 0]
+    with np.errstate(over="ignore"):  # V and det Z of a diverged run may pass the float range
+        if canonical:  # det Z of the edge vectors p0 - p1 and p0 - p2, per sample
+            z1 = positions[:, 0] - positions[:, 1]
+            z2 = positions[:, 0] - positions[:, 2]
+            det = z1[:, 0] * z2[:, 1] - z1[:, 1] * z2[:, 0]
+        lyapunov = 0.5 * error_norm**2
     return SimulationTrace(
         times=np.array(times),
         positions=positions,
         errors=errors,
         error_norm=error_norm,
-        lyapunov=0.5 * error_norm**2,
+        lyapunov=lyapunov,
         det_z=det,
         terminal_status=status,
     )
@@ -439,13 +454,14 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
     canonical = is_three_agent_topology(f0.graph)
     if canonical:
         d1s, d2s, cs = t.values().tolist()
+        p0 = f0.config().tolist()
 
         def rhs(x):
             return _rhs_canonical(x, d1s, d2s, cs)
 
         degenerate = _collocated_three
     else:
-        graph, tv, shape = f0.graph, t.values(), f0.positions.shape
+        graph, tv, shape, p0 = f0.graph, t.values(), f0.positions.shape, f0.config()
 
         def rhs(x):
             vel, e = _rhs_generic(x.reshape(shape), graph, tv)
@@ -454,4 +470,4 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
         def degenerate(x):
             return collocated(x.reshape(shape))
 
-    return _trace(*_rk4(f0.config(), rhs, degenerate, cfg), canonical)
+    return _trace(*_rk4(p0, rhs, degenerate, cfg), canonical)

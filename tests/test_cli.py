@@ -8,7 +8,18 @@ import json
 import numpy as np
 import pytest
 
-from weakrig import ExtensionStep, Framework, apply_extension, build_graph, grow_random
+from weakrig import (
+    ExtensionStep,
+    Framework,
+    SimulationConfig,
+    apply_extension,
+    build_graph,
+    canonical_targets,
+    canonical_three_agent_graph,
+    control_law,
+    grow_random,
+    simulate,
+)
 from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
 from weakrig.fileio import load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
@@ -180,6 +191,32 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "converged" in out
+
+    def test_diverging_run_prints_finite_json_norms(self, tmp_path, capsys):
+        # One dt = 5 step from the paper start puts the errors near 6e168 and
+        # the gradient near 5e253; their plain norms square past the float range.
+        def no_constant(name):
+            raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+        fw = bench_framework_file(tmp_path)
+        tg = bench_target_file(tmp_path)
+        with np.errstate(over="ignore"):  # the kernel's own cosine overflow
+            code = main(["simulate", fw, "--targets", tg, "--dt", "5", "--json"])
+            summary = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+            f0 = Framework(canonical_three_agent_graph(), 2, BENCH_INITIAL)
+            targets = canonical_targets(*BENCH_TARGETS)
+            trace = simulate(f0, targets, SimulationConfig(dt=5.0))
+            grad = control_law(f0.with_positions(trace.final_positions()), targets)
+        assert code == 1 and summary["status"] == "diverged" and summary["steps"] == 1
+
+        def scaled_norm(v):
+            s = np.abs(v).max()
+            return float(s * np.sqrt(np.sum((v / s) ** 2)))
+
+        assert summary["final_error_norm"] == pytest.approx(scaled_norm(trace.errors[-1]), rel=1e-14)
+        assert summary["final_gradient_norm"] == pytest.approx(scaled_norm(grad), rel=1e-14)
+        assert 1e168 < summary["final_error_norm"] < 1e169
+        assert 1e253 < summary["final_gradient_norm"] < 1e254
 
     def test_degrees_targets_accepted(self, tmp_path):
         fw = bench_framework_file(tmp_path)

@@ -21,7 +21,7 @@ from weakrig import (
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
-from weakrig.core import min_separation
+from weakrig.core import COLLOCATION_REL_TOL, collocation_tolerance, min_separation, stable_norm
 
 from conftest import TRIANGLE_POS, random_framework, random_positions
 
@@ -218,3 +218,41 @@ class TestMinSeparation:
                 assert got == 0.0
             else:
                 assert got == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+
+
+class TestCollocationTolerance:
+    def test_method_form_matches_function_form(self):
+        # collocation_tolerance reads max|p| as np.abs(p).max(initial=0.0), the
+        # cheaper spelling of np.max(np.abs(p), initial=0.0); both must agree.
+        rng = np.random.default_rng(41)
+        cases = [rng.normal(scale=10.0 ** rng.uniform(-6, 6), size=(int(rng.integers(1, 30)), d))
+                 for d in (2, 3) for _ in range(100)]
+        cases += [np.zeros((0, 2)), np.zeros((0, 3)), np.array([[0.0, -0.0], [-0.0, 0.0]]),
+                  np.array([[-0.0, -0.0, -0.0]]), np.array([[-0.0, 2.5], [-3.0, 0.0]])]
+        for p in cases:
+            want = COLLOCATION_REL_TOL * (1.0 + float(np.max(np.abs(p), initial=0.0)))
+            assert float(np.abs(p).max(initial=0.0)) == float(np.max(np.abs(p), initial=0.0))
+            assert collocation_tolerance(p) == want
+
+
+class TestStableNorm:
+    def test_finite_norms_keep_their_bits(self):
+        rng = np.random.default_rng(43)
+        rows = rng.normal(scale=10.0 ** rng.uniform(-100, 100, size=(50, 1)), size=(50, 3))
+        assert np.array_equal(stable_norm(rows, axis=1), np.linalg.norm(rows, axis=1))
+        for v in rows:
+            assert float(stable_norm(v)) == float(np.linalg.norm(v))
+
+    def test_overflowing_norm_is_rescaled(self):
+        v = np.array([6e168, -3e168, 0.75])
+        with np.errstate(all="raise"):
+            got = float(stable_norm(v))
+            rows = stable_norm(np.array([v, [3.0, 4.0, 0.0]]), axis=1)
+        assert got == pytest.approx(1e168 * math.sqrt(45.0), rel=1e-15)
+        assert rows[0] == got and rows[1] == 5.0
+
+    def test_infinite_and_nan_entries_are_kept(self):
+        rows = np.array([[np.inf, 1.0], [np.nan, 1e200], [1e300, 1e300]])
+        got = stable_norm(rows, axis=1)
+        assert got[0] == np.inf and np.isnan(got[1])
+        assert got[2] == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)

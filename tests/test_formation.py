@@ -26,7 +26,7 @@ from weakrig import (
     realize_canonical_targets,
     simulate,
 )
-from weakrig.formation import _rhs_canonical, _rhs_generic
+from weakrig.formation import _rhs_canonical, _rhs_generic, _trace
 
 from conftest import (
     BENCH_TARGETS,
@@ -228,6 +228,17 @@ class TestSimulate:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = simulate(bench_initial, bench_targets, SimulationConfig(dt=5.0, t_max=100.0))
         assert trace.terminal_status == "diverged"
+
+    def test_trace_summaries_do_not_overflow(self):
+        # A diverged run's last rows: ||e|| is finite although its square is not.
+        states = [[0.0, 0.0, 1.0, 0.0, 0.0, 1.0], [-3e200, 0.0, 1e200, 2e200, 0.0, -4e200]]
+        errs = [(1.0, 2.0, 2.0), (3e200, -4e200, 0.5)]
+        with np.errstate(over="raise"):
+            trace = _trace([0.0, 1.0], states, errs, "diverged", canonical=True)
+        assert trace.error_norm[0] == 3.0 and trace.lyapunov[0] == 4.5
+        assert trace.error_norm[1] == pytest.approx(5e200, rel=1e-15)
+        assert trace.lyapunov[1] == math.inf and trace.det_z[1] == -math.inf
+        assert trace.det_z[0] == 1.0
 
     def test_degenerate_guard(self, bench_targets):
         # The continuous flow cannot collocate agents in finite time, so the

@@ -2,8 +2,9 @@
 
 ``loop_simulate_canonical`` is the scalar three-agent integrator that
 ``simulate`` used before the canonical and generic flows shared one loop,
-and ``field_trace_to_csv`` the per-field trace writer; both are kept here
-as oracles only.  The merged loop must reproduce them bit for bit.
+``array_rk4`` that shared loop as it was when every state was a numpy
+array, and ``field_trace_to_csv`` the per-field trace writer; all are kept
+here as oracles only.  The loop must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from weakrig import (
 )
 from weakrig.core import collocated, collocation_tolerance
 from weakrig.fileio import trace_to_csv
-from weakrig.formation import _collocated_three, _rk4
+from weakrig.formation import _collocated_three, _rhs_generic, _rk4
 
 from conftest import BENCH_INITIAL, BENCH_TARGETS, TRIANGLE_POS, random_positions
 
@@ -127,6 +128,55 @@ def loop_simulate_canonical(x0, targets, cfg):
     return np.array(times), positions, np.array(errs), np.array(dets), status
 
 
+def array_rk4(p, rhs, degenerate, cfg):
+    """The one RK4 loop with numpy arithmetic on every state; returns ``_rk4``'s tuple."""
+    dt = cfg.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    k1, e = rhs(p)
+    times, states, errs = [0.0], [p.tolist()], [e]
+    if degenerate(p):
+        return times, states, errs, "degenerate"
+    if math.hypot(*e) < cfg.convergence_eps:
+        return times, states, errs, "converged"
+    k = 0
+    status = "max-time"
+    while k * dt < cfg.t_max - 1e-12:
+        k2, _ = rhs(p + half * k1)
+        k3, _ = rhs(p + half * k2)
+        k4, _ = rhs(p + dt * k3)
+        p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k += 1
+        k1, e = rhs(p)
+        x = p.tolist()
+        times.append(k * dt)
+        states.append(x)
+        errs.append(e)
+        if degenerate(p):
+            status = "degenerate"
+            break
+        if max(map(abs, x)) > cfg.divergence_bound:
+            status = "diverged"
+            break
+        if math.hypot(*e) < cfg.convergence_eps:
+            status = "converged"
+            break
+    return times, states, errs, status
+
+
+def array_simulate_generic(f0, t, cfg):
+    """The kernel flow on ``array_rk4``; returns ``(times, positions, errors, status)``."""
+    shape, tv = f0.positions.shape, t.values()
+
+    def rhs(x):
+        vel, e = _rhs_generic(x.reshape(shape), f0.graph, tv)
+        return vel.ravel(), e
+
+    times, states, errs, status = array_rk4(
+        f0.config(), rhs, lambda x: collocated(x.reshape(shape)), cfg)
+    return np.array(times), np.array(states).reshape(len(states), *shape), np.array(errs), status
+
+
 def field_trace_to_csv(trace: SimulationTrace) -> str:
     def fmt(x):
         return format(float(x), ".17g")
@@ -179,17 +229,24 @@ def canonical_trace(name):
         return f0, cfg, simulate(f0, PAPER_TARGETS, cfg)
 
 
-def generic_traces():
+def generic_cases():
+    """``(start, targets, config)`` of the kernel flow: a triangle, grown n = 8 and n = 12."""
     rng = np.random.default_rng(808)
     k3 = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
     triangle = Framework(k3, 2, random_positions(rng, 3))
     t = TargetSpec(sq_distances=(((0, 1), 4.0), ((0, 2), 4.0), ((1, 2), 4.0)))
-    yield simulate(triangle, t, SimulationConfig(dt=1e-3, t_max=0.2))
-    grown = grow_random(Framework(k3, 2, TRIANGLE_POS), steps=5, rng_seed=3).frameworks[-1]
-    g, tv = grown.graph, weak_rigidity_function(grown)
-    t = TargetSpec(sq_distances=tuple(zip(g.edges, tv[:g.m])), cosines=tuple(zip(g.angles, tv[g.m:])))
-    start = grown.positions + 0.02 * rng.normal(size=grown.positions.shape)
-    yield simulate(grown.with_positions(start), t, SimulationConfig(dt=1e-3, t_max=0.2))
+    yield triangle, t, SimulationConfig(dt=1e-3, t_max=0.2)
+    for n, seed in ((8, 3), (12, 5)):
+        grown = grow_random(Framework(k3, 2, TRIANGLE_POS), steps=n - 3, rng_seed=seed).final
+        g, tv = grown.graph, weak_rigidity_function(grown)
+        t = TargetSpec(sq_distances=tuple(zip(g.edges, tv[:g.m])),
+                       cosines=tuple(zip(g.angles, tv[g.m:])))
+        start = grown.positions + 0.02 * rng.normal(size=grown.positions.shape)
+        yield grown.with_positions(start), t, SimulationConfig(dt=1e-3, t_max=0.2)
+
+
+def generic_traces():
+    return (simulate(*case) for case in generic_cases())
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -217,6 +274,17 @@ class TestCanonicalAgainstScalarLoop:
         assert np.array_equal(trace.positions, positions)
         assert np.array_equal(trace.errors, errors)
         assert np.array_equal(trace.det_z, dets)
+
+
+class TestGenericAgainstArrayLoop:
+    def test_trace_is_identical(self):
+        for f0, t, cfg in generic_cases():
+            trace = simulate(f0, t, cfg)
+            times, positions, errors, status = array_simulate_generic(f0, t, cfg)
+            assert trace.terminal_status == status == "max-time"
+            assert np.array_equal(trace.times, times)
+            assert np.array_equal(trace.positions, positions)
+            assert np.array_equal(trace.errors, errors)
 
 
 def run_rk4(velocity, cfg, errors=lambda x: ()):
