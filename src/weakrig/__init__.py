@@ -61,7 +61,6 @@ from .henneberg import (
 from .rigidity import (
     MinimalityResult,
     RigidityReport,
-    TrivialMotionBasis,
     WeakRigidityMatrix,
     classify_infinitesimal_weak_rigidity,
     classify_weak_rigidity_3d,

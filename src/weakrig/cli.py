@@ -8,6 +8,7 @@ equilibrium.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,6 +67,7 @@ def _fraction(name):
     return _number(name, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weakrig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive("--tol"), default=1e-9,
                    help="relative singular-value tolerance (default 1e-9)")
     p.add_argument("--mode", choices=["auto", "2d", "3d"], default="auto",
-                   help="force the 2D or 3D test (default: by file dim)")
+                   help="2d or 3d must match the file's dim (default: the test for the file's dim)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p = sub.add_parser("simulate", help="integrate the gradient formation flow")

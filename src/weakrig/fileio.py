@@ -183,7 +183,10 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
             if key in cos_map:
                 raise ParseError(f"{where}: duplicate cosine target for angle {key}")
             cos_map[key] = convert(v)
-    return align_targets(graph, sq_map, cos_map)
+    try:
+        return align_targets(graph, sq_map, cos_map)
+    except ValueError as exc:  # a value out of range for its constraint
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def load_targets(path: str, graph) -> TargetSpec:

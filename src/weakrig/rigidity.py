@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,9 @@ DEFAULT_RANK_TOL = 1e-9
 
 RowLabel = tuple[str, tuple]
 
-VERDICT_RIGID_2D = "infinitesimally weakly rigid"
-VERDICT_FLEXIBLE_2D = "not infinitesimally weakly rigid"
-VERDICT_RIGID_3D = "weakly rigid"
-VERDICT_FLEXIBLE_3D = "not weakly rigid (generic)"
+# (rigid, flexible) verdicts of each rank test.
+VERDICTS_2D = ("infinitesimally weakly rigid", "not infinitesimally weakly rigid")
+VERDICTS_3D = ("weakly rigid", "not weakly rigid (generic)")
 
 
 def cosine_edge_partials(za, zb, zc):
@@ -198,45 +198,48 @@ def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rel_tol`` times the largest one."""
-    M = np.asarray(M, float)
-    if M.size == 0:
-        raise ValueError("numerical rank of an empty matrix is undefined")
-    return _rank_cut(np.linalg.svd(M, compute_uv=False), rel_tol)
+    return _rank_cut(np.linalg.svd(np.asarray(M, float), compute_uv=False), rel_tol)
 
 
 def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
+    if s.size == 0:
+        raise ValueError("numerical rank of an empty matrix is undefined")
     return int(np.sum(s > rel_tol * s[0]))
 
 
-@dataclass(frozen=True)
-class TrivialMotionBasis:
+def rigid_motions(positions: np.ndarray) -> np.ndarray:
+    """Infinitesimal rigid motions of ``(n, d)`` positions, as stacked columns.
+
+    The ``d`` translations, then one rotation per coordinate plane ``(a, b)``,
+    ``a < b``, planes in reverse order: component ``a`` is ``-p_b`` and
+    component ``b`` is ``p_a``.  In 2D that is ``[-y, x]``; in 3D, the
+    rotations about x, y and z (the y one negated), the order ``np.cross``
+    gives them in.  Column order changes how ``R @ basis`` rounds.
+    """
+    n, d = positions.shape
+    cols = [np.tile(e, n) for e in np.eye(d)]
+    for a, b in reversed(list(itertools.combinations(range(d), 2))):
+        spin = np.zeros((n, d))
+        spin[:, a] = -positions[:, b]
+        spin[:, b] = positions[:, a]
+        cols.append(spin.ravel())
+    return np.column_stack(cols)
+
+
+def trivial_motion_basis(f: Framework) -> np.ndarray:
     """Columns spanning the trivial infinitesimal motions of a 2D framework.
 
     Two translations and one rotation; plus the configuration itself
     (uniform scaling) when the framework has no distance edges.
     """
-
-    columns: np.ndarray = field(repr=False)
-    includes_scaling: bool
-
-
-def trivial_motion_basis(f: Framework) -> TrivialMotionBasis:
     if f.dim != 2:
         raise ValueError("trivial motion basis is defined for dim 2")
-    n = f.graph.n
-    p = f.config()
-    cols = [np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n)]
-    rot = np.empty(2 * n)
-    rot[0::2] = -p[1::2]
-    rot[1::2] = p[0::2]
-    cols.append(rot)
-    scaling = f.graph.m == 0
-    if scaling:
-        cols.append(p)
-    basis = np.column_stack(cols)
+    basis = rigid_motions(f.positions)
+    if f.graph.m == 0:
+        basis = np.column_stack([basis, f.config()])
     if numerical_rank(basis) != basis.shape[1]:
         raise DegenerateConfiguration("trivial motions are linearly dependent (e.g. p = 0)")
-    return TrivialMotionBasis(columns=basis, includes_scaling=scaling)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -254,21 +257,30 @@ class RigidityReport:
         return dataclasses.asdict(self)
 
 
-def _max_residual(M: np.ndarray, columns: np.ndarray) -> float:
-    return float(np.max(np.abs(M @ (columns / np.linalg.norm(columns, axis=0)))))
+def _report(R: np.ndarray, required: int, motions: np.ndarray, rel_tol: float,
+            verdicts: tuple[str, str], note: str = "") -> RigidityReport:
+    """Rank test of ``R`` against ``required``, with the largest entry of ``R``
+    times the unit-normed trivial ``motions``; ``note`` goes with a negative verdict."""
+    rank = numerical_rank(R, rel_tol)
+    rigid = rank == required
+    residual = float(np.max(np.abs(R @ (motions / np.linalg.norm(motions, axis=0)))))
+    return RigidityReport(
+        rank=rank, required_rank=required, rigid=rigid,
+        verdict=verdicts[0] if rigid else verdicts[1], null_space_dim=R.shape[1] - rank,
+        trivial_motion_residual=residual, tolerance_used=rel_tol, note="" if rigid else note)
 
 
-def _all_collinear(positions: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
+def _all_collinear(positions: np.ndarray) -> bool:
     centered = positions - positions.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
-    return bool(s[0] == 0.0 or s[1] <= rel_tol * s[0])
+    return bool(s[0] == 0.0 or s[1] <= DEFAULT_RANK_TOL * s[0])
 
 
 def _required_rank_2d(g: Graph) -> int:
     return 2 * g.n - 3 if g.m > 0 else 2 * g.n - 4
 
 
-def _checked_weak_rigidity_matrix(f: Framework) -> tuple[TrivialMotionBasis, WeakRigidityMatrix]:
+def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidityMatrix]:
     """Weak rigidity matrix of a framework the 2D rank test applies to."""
     if f.dim != 2:
         raise ValueError("2D classifier needs dim 2")
@@ -289,19 +301,7 @@ def classify_infinitesimal_weak_rigidity(
     DegenerateConfiguration instead of returning a verdict.
     """
     basis, R = _checked_weak_rigidity_matrix(f)
-    rank = numerical_rank(R.matrix, rel_tol)
-    n = f.graph.n
-    required = _required_rank_2d(f.graph)
-    rigid = rank == required
-    return RigidityReport(
-        rank=rank,
-        required_rank=required,
-        rigid=rigid,
-        verdict=VERDICT_RIGID_2D if rigid else VERDICT_FLEXIBLE_2D,
-        null_space_dim=2 * n - rank,
-        trivial_motion_residual=_max_residual(R.matrix, basis.columns),
-        tolerance_used=rel_tol,
-    )
+    return _report(R.matrix, _required_rank_2d(f.graph), basis, rel_tol, VERDICTS_2D)
 
 
 def distance_rigidity_matrix(f: Framework) -> np.ndarray:
@@ -315,14 +315,6 @@ def distance_rigidity_matrix(f: Framework) -> np.ndarray:
         raise EmptyEdgeSet("distance rigidity matrix needs at least one edge")
     edges_only = compile_graph(Graph(n=g.n, edges=g.edges), f.dim)
     return 0.5 * constraint_kernel(f.positions, edges_only, matrix=True)[1]
-
-
-def _rigid_motion_fields_3d(positions: np.ndarray) -> np.ndarray:
-    """Three translations, then the rotations about the three axes."""
-    axes = np.eye(3)
-    shifts = [np.tile(a, len(positions)) for a in axes]
-    spins = [np.cross(a, positions).ravel() for a in axes]
-    return np.column_stack(shifts + spins)
 
 
 def classify_weak_rigidity_3d(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> RigidityReport:
@@ -340,22 +332,8 @@ def classify_weak_rigidity_3d(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     if not closure.edges:
         raise EmptyEdgeSet("framework has no constraints at all")
     fc = Framework(graph=closure, dim=3, positions=f.positions)
-    R = distance_rigidity_matrix(fc)
-    rank = numerical_rank(R, rel_tol)
-    n = f.graph.n
-    required = 3 * n - 6
-    rigid = rank == required
-    note = "" if rigid else "negative verdict assumes a generic configuration"
-    return RigidityReport(
-        rank=rank,
-        required_rank=required,
-        rigid=rigid,
-        verdict=VERDICT_RIGID_3D if rigid else VERDICT_FLEXIBLE_3D,
-        null_space_dim=3 * n - rank,
-        trivial_motion_residual=_max_residual(R, _rigid_motion_fields_3d(f.positions)),
-        tolerance_used=rel_tol,
-        note=note,
-    )
+    return _report(distance_rigidity_matrix(fc), 3 * f.graph.n - 6, rigid_motions(f.positions),
+                   rel_tol, VERDICTS_3D, note="negative verdict assumes a generic configuration")
 
 
 @dataclass(frozen=True)
@@ -384,8 +362,6 @@ def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     :func:`classify_infinitesimal_weak_rigidity`.
     """
     _, R = _checked_weak_rigidity_matrix(f)
-    if R.matrix.size == 0:
-        raise ValueError("numerical rank of an empty matrix is undefined")
     U, s, _ = np.linalg.svd(R.matrix)
     rank = _rank_cut(s, rel_tol)
     g = f.graph

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
@@ -390,6 +391,23 @@ class TestNonFiniteOptions:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    def test_later_calls_construct_no_parser(self, tmp_path, capsys, monkeypatch):
+        path = rhombus_file(tmp_path, "c")
+        assert main(["analyze", path]) == 0
+        built = []
+        construct = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["analyze", path, "--json"]) == 0
+        assert main(["check-gradient", path]) == 0
+        assert built == []
 
 
 class TestCheckGradient:

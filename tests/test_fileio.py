@@ -124,7 +124,12 @@ class TestTargetFiles:
         ({"sq_distances": [[0, 1, 4.0], [0, 2, 10**400]]}, r"sq_distances\[1\]", "non-finite"),
         ({"sq_distances": [[0, 1, float("nan")]]}, r"sq_distances\[0\]", "non-finite"),
         ({"cosines_deg": [[0, 1, 2, float("inf")]]}, r"cosines_deg\[0\]", "non-finite"),
-    ], ids=["list", "string", "bool", "overflow", "nan", "infinity"])
+        ({"sq_distances": [[0, 1, 8], [0, 2, 9]], "cosines": [[0, 1, 2, 2.0]]}, "<targets>: ",
+         r"desired cosine for \(0, 1, 2\) must lie in \[-1, 1\], got 2.0"),
+        ({"sq_distances": [[0, 1, -8.0], [0, 2, 9]], "cosines": [[0, 1, 2, 0.5]]}, "<targets>: ",
+         r"desired squared distance for \(0, 1\) must be >= 0, got -8.0"),
+    ], ids=["list", "string", "bool", "overflow", "nan", "infinity", "cosine-range",
+            "negative-distance"])
     def test_bad_value_names_the_entry(self, mixed_framework, data, where, why):
         with pytest.raises(ParseError, match=where + ".*" + why):
             targets_from_dict(data, mixed_framework.graph)

@@ -11,6 +11,7 @@ from weakrig import (
     Framework,
     Graph,
     MinimalityResult,
+    RigidityReport,
     build_graph,
     classify_infinitesimal_weak_rigidity,
     classify_weak_rigidity_3d,
@@ -152,20 +153,19 @@ class TestNumericalRank:
 class TestTrivialMotionBasis:
     def test_three_columns_with_edges(self, triangle_k3):
         basis = trivial_motion_basis(triangle_k3)
-        assert basis.columns.shape == (6, 3)
-        assert not basis.includes_scaling
+        assert basis.shape == (6, 3)  # no scaling column
 
     def test_four_columns_without_edges(self):
         f = rhombus_framework("f")
         basis = trivial_motion_basis(f)
-        assert basis.columns.shape == (8, 4)
-        assert basis.includes_scaling
-        assert numerical_rank(basis.columns) == 4
+        assert basis.shape == (8, 4)
+        assert np.array_equal(basis[:, 3], f.config())
+        assert numerical_rank(basis) == 4
 
     def test_rotation_column_is_perpendicular_field(self):
         pos = np.array([[1.0, 0.0], [0.0, 1.0], [-2.0, 0.5]])
         f = Framework(build_graph(3, edges=[(0, 1)]), 2, pos)
-        rot = trivial_motion_basis(f).columns[:, 2]
+        rot = trivial_motion_basis(f)[:, 2]
         assert np.allclose(rot[0:2], [0.0, 1.0])  # J acting on (1, 0)
         assert np.allclose(rot, np.column_stack([-pos[:, 1], pos[:, 0]]).ravel())
 
@@ -283,6 +283,75 @@ class TestClassify3D:
         f = Framework(build_graph(3), 3, np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]))
         with pytest.raises(EmptyEdgeSet):
             classify_weak_rigidity_3d(f)
+
+
+def _reference_report(f: Framework, rel_tol: float = 1e-9) -> RigidityReport:
+    """A classifier's report as built when the 2D and 3D tests had their own motions.
+
+    2D: the two translations, the ``[-y, x]`` column and, without edges, the
+    scaling column ``p``.  3D: the three translations and the ``np.cross``
+    fields about the axes, over the induced distance closure.  The residual is
+    the largest entry of the matrix times the unit-normed motion columns.
+    """
+    n, p = f.graph.n, f.config()
+    if f.dim == 2:
+        R = weak_rigidity_matrix(f).matrix
+        rot = np.empty(2 * n)
+        rot[0::2], rot[1::2] = -p[1::2], p[0::2]
+        cols = [np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n), rot] + ([p] if f.graph.m == 0 else [])
+        required = 2 * n - 3 if f.graph.m else 2 * n - 4
+        verdicts, note = ("infinitesimally weakly rigid", "not infinitesimally weakly rigid"), ""
+    else:
+        R = distance_rigidity_matrix(Framework(induced_distance_closure(f.graph), 3, f.positions))
+        axes = np.eye(3)
+        cols = [np.tile(a, n) for a in axes] + [np.cross(a, f.positions).ravel() for a in axes]
+        required = 3 * n - 6
+        verdicts = ("weakly rigid", "not weakly rigid (generic)")
+        note = "negative verdict assumes a generic configuration"
+    columns = np.column_stack(cols)
+    rank = numerical_rank(R, rel_tol)
+    rigid = rank == required
+    return RigidityReport(
+        rank=rank, required_rank=required, rigid=rigid,
+        verdict=verdicts[0] if rigid else verdicts[1], null_space_dim=R.shape[1] - rank,
+        trivial_motion_residual=float(np.max(np.abs(R @ (columns / np.linalg.norm(columns, axis=0))))),
+        tolerance_used=rel_tol, note="" if rigid else note)
+
+
+def _report_oracle_cases():
+    """Grown frameworks n = 8..30, one-constraint-dropped and angle-only copies
+    of each, random 3D lifts of all three, and random small 3D frameworks."""
+    seed = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
+    rng = np.random.default_rng(808)
+    planar = []
+    for rng_seed, mix in ((8, 0.5), (30, 1.0)):
+        for f in grow_random(seed, steps=27, rng_seed=rng_seed, mix=mix).frameworks[5:]:
+            g = f.graph
+            cut = int(rng.integers(g.constraint_count))
+            dropped = Graph(g.n, tuple(e for t, e in enumerate(g.edges) if t != cut),
+                            tuple(a for t, a in enumerate(g.angles) if g.m + t != cut))
+            planar += [f, Framework(dropped, 2, f.positions), Framework(Graph(g.n, (), g.angles), 2, f.positions)]
+    lifts = []
+    for f in planar:
+        rms = float(np.sqrt(np.mean(np.sum(f.positions ** 2, axis=1))))
+        z = rng.uniform(-1.0, 1.0, f.graph.n) * rms
+        lifts.append(Framework(f.graph, 3, np.column_stack([f.positions, z])))
+    for _ in range(40):  # small dense graphs, so that some 3D verdicts are rigid
+        g = random_framework(rng).graph
+        lifts.append(Framework(g, 3, random_positions(rng, g.n, dim=3)))
+    return planar, lifts
+
+
+class TestReportOracle:
+    def test_reports_equal_the_separate_constructions(self):
+        planar, lifts = _report_oracle_cases()
+        reports = [classify_infinitesimal_weak_rigidity(f) for f in planar]
+        reports += [classify_weak_rigidity_3d(f) for f in lifts]
+        for f, report in zip(planar + lifts, reports):
+            assert report.to_dict() == _reference_report(f).to_dict()
+        assert {r.verdict for r in reports} == {
+            "infinitesimally weakly rigid", "not infinitesimally weakly rigid",
+            "weakly rigid", "not weakly rigid (generic)"}
 
 
 class TestMinimality:
