@@ -298,7 +298,8 @@ def _reference_report(f: Framework, rel_tol: float = 1e-9) -> RigidityReport:
         R = weak_rigidity_matrix(f).matrix
         rot = np.empty(2 * n)
         rot[0::2], rot[1::2] = -p[1::2], p[0::2]
-        cols = [np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n), rot] + ([p] if f.graph.m == 0 else [])
+        cols = [np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n), rot]
+        cols += [p] if f.graph.m == 0 else []
         required = 2 * n - 3 if f.graph.m else 2 * n - 4
         verdicts, note = ("infinitesimally weakly rigid", "not infinitesimally weakly rigid"), ""
     else:
@@ -309,19 +310,18 @@ def _reference_report(f: Framework, rel_tol: float = 1e-9) -> RigidityReport:
         verdicts = ("weakly rigid", "not weakly rigid (generic)")
         note = "negative verdict assumes a generic configuration"
     columns = np.column_stack(cols)
+    residual = float(np.max(np.abs(R @ (columns / np.linalg.norm(columns, axis=0)))))
     rank = numerical_rank(R, rel_tol)
     rigid = rank == required
     return RigidityReport(
         rank=rank, required_rank=required, rigid=rigid,
         verdict=verdicts[0] if rigid else verdicts[1], null_space_dim=R.shape[1] - rank,
-        trivial_motion_residual=float(np.max(np.abs(R @ (columns / np.linalg.norm(columns, axis=0))))),
-        tolerance_used=rel_tol, note="" if rigid else note)
+        trivial_motion_residual=residual, tolerance_used=rel_tol, note="" if rigid else note)
 
 
-def _report_oracle_cases():
+def _report_oracle_cases(seed: Framework):
     """Grown frameworks n = 8..30, one-constraint-dropped and angle-only copies
     of each, random 3D lifts of all three, and random small 3D frameworks."""
-    seed = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
     rng = np.random.default_rng(808)
     planar = []
     for rng_seed, mix in ((8, 0.5), (30, 1.0)):
@@ -330,7 +330,8 @@ def _report_oracle_cases():
             cut = int(rng.integers(g.constraint_count))
             dropped = Graph(g.n, tuple(e for t, e in enumerate(g.edges) if t != cut),
                             tuple(a for t, a in enumerate(g.angles) if g.m + t != cut))
-            planar += [f, Framework(dropped, 2, f.positions), Framework(Graph(g.n, (), g.angles), 2, f.positions)]
+            angle_only = Graph(g.n, (), g.angles)
+            planar += [f] + [Framework(h, 2, f.positions) for h in (dropped, angle_only)]
     lifts = []
     for f in planar:
         rms = float(np.sqrt(np.mean(np.sum(f.positions ** 2, axis=1))))
@@ -343,8 +344,8 @@ def _report_oracle_cases():
 
 
 class TestReportOracle:
-    def test_reports_equal_the_separate_constructions(self):
-        planar, lifts = _report_oracle_cases()
+    def test_reports_equal_the_separate_constructions(self, triangle_k3):
+        planar, lifts = _report_oracle_cases(triangle_k3)
         reports = [classify_infinitesimal_weak_rigidity(f) for f in planar]
         reports += [classify_weak_rigidity_3d(f) for f in lifts]
         for f, report in zip(planar + lifts, reports):
