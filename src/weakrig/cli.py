@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="rank-test a framework file for weak rigidity")
     p.add_argument("framework", help="framework JSON file")
-    p.add_argument("--tol", type=_positive("--tol"), default=1e-9,
-                   help="relative singular-value tolerance (default 1e-9)")
+    p.add_argument("--tol", type=_number("--tol", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                   default=1e-9, help="relative singular-value tolerance (default 1e-9)")
     p.add_argument("--mode", choices=["auto", "2d", "3d"], default="auto",
                    help="2d or 3d must match the file's dim (default: the test for the file's dim)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -142,22 +142,23 @@ def cmd_simulate(args) -> int:
     if args.out:
         fileio.write_trace_csv(trace, args.out)
     terminal = f0.with_positions(trace.final_positions())
-    grad_norm = float(stable_norm(control_law(terminal, targets)))
     summary = {
         "status": trace.terminal_status,
         "steps": len(trace) - 1,
         "t_final": float(trace.times[-1]),
         "final_error_norm": float(trace.error_norm[-1]),
-        "final_gradient_norm": grad_norm,
     }
     code = {"converged": EXIT_OK, "max-time": EXIT_TIMEOUT}.get(trace.terminal_status, EXIT_ERROR)
     if canonical and trace.terminal_status != "converged":
         eq = classify_equilibrium(terminal, targets, tol=args.eps)
+        summary["final_gradient_norm"] = eq.gradient_norm
         summary["terminal_kind"] = eq.kind
         summary["collinear"] = eq.collinear
         summary["min_jacobian_eig"] = eq.min_jacobian_eig
         if eq.kind == "incorrect":
             code = EXIT_INCORRECT_EQ
+    else:
+        summary["final_gradient_norm"] = float(stable_norm(control_law(terminal, targets)))
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:

@@ -32,8 +32,8 @@ AngleTriple = tuple[int, int, int]
 class Graph:
     """Constraint graph: ``n`` vertices, normalized edges and angle triples.
 
-    Edges are stored as ``(i, j)`` with ``i < j`` in input order; angle
-    triples as ``(k, i, j)`` with ``i < j`` (apex first) in input order.
+    Edges are stored in input order as :func:`edge_key` gives them, angle
+    triples as :func:`angle_key` gives them.
     Use :func:`build_graph` to construct one with validation.
     """
 
@@ -52,6 +52,16 @@ class Graph:
     @property
     def constraint_count(self) -> int:
         return len(self.edges) + len(self.angles)
+
+
+def edge_key(i: int, j: int) -> Edge:
+    """The stored form of edge ``(i, j)``: ``(min, max)``."""
+    return (i, j) if i < j else (j, i)
+
+
+def angle_key(k: int, i: int, j: int) -> AngleTriple:
+    """The stored form of angle ``(k, i, j)``: the apex, then ``(min, max)``."""
+    return (k, i, j) if i < j else (k, j, i)
 
 
 def _check_index(v: int, n: int, what: str) -> None:
@@ -74,7 +84,7 @@ def build_graph(n, edges=(), angles=()) -> Graph:
         _check_index(j, n, f"edge ({i},{j})")
         if i == j:
             raise SelfLoop(f"edge ({i},{j}) is a self-loop")
-        e = (i, j) if i < j else (j, i)
+        e = edge_key(i, j)
         if e in seen_edges:
             raise DuplicateConstraint(f"edge {e} appears more than once")
         seen_edges.add(e)
@@ -86,18 +96,12 @@ def build_graph(n, edges=(), angles=()) -> Graph:
             _check_index(v, n, f"angle ({k},{i},{j})")
         if len({k, i, j}) != 3:
             raise DegenerateAngleTriple(f"angle ({k},{i},{j}) repeats a vertex")
-        a = (k, i, j) if i < j else (k, j, i)
+        a = angle_key(k, i, j)
         if a in seen_angles:
             raise DuplicateConstraint(f"angle {a} appears more than once")
         seen_angles.add(a)
         norm_angles.append(a)
     return Graph(n=n, edges=tuple(norm_edges), angles=tuple(norm_angles))
-
-
-def _support_edges(triple: AngleTriple) -> list[Edge]:
-    k, i, j = triple
-    sides = [(i, j), (i, k), (j, k)]
-    return [(a, b) if a < b else (b, a) for (a, b) in sides]
 
 
 def induced_angle_support(g: Graph) -> Graph:
@@ -106,13 +110,8 @@ def induced_angle_support(g: Graph) -> Graph:
     Original edges come first in their input order; edges contributed by
     angles follow in sorted order.  Angle triples are kept.
     """
-    present = set(g.edges)
-    added: set[Edge] = set()
-    for triple in g.angles:
-        for e in _support_edges(triple):
-            if e not in present:
-                added.add(e)
-    return Graph(n=g.n, edges=g.edges + tuple(sorted(added)), angles=g.angles)
+    added = {e for k, i, j in g.angles for e in (edge_key(i, j), edge_key(i, k), edge_key(j, k))}
+    return Graph(n=g.n, edges=g.edges + tuple(sorted(added - set(g.edges))), angles=g.angles)
 
 
 def induced_distance_closure(g: Graph) -> Graph:

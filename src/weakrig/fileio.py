@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .core import Framework, build_graph
+from .core import Framework, angle_key, build_graph, edge_key
 from .errors import ParseError, WeakRigError
 from .formation import SimulationTrace, TargetSpec, align_targets
 from .rigidity import RigidityReport
@@ -153,38 +153,36 @@ def dump_framework(f: Framework, path: str) -> None:
 # target files
 
 
-TARGET_KEYS = {"sq_distances", "cosines", "cosines_deg"}
+# field: (vertex names, key rule, the target a repeated key duplicates, value conversion)
+TARGET_FIELDS = {
+    "sq_distances": (("i", "j"), edge_key, "distance target for edge", float),
+    "cosines": (("k", "i", "j"), angle_key, "cosine target for angle", float),
+    "cosines_deg": (("k", "i", "j"), angle_key, "cosine target for angle",
+                    lambda d: float(np.cos(np.deg2rad(d)))),
+}
 
 
 def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected a JSON object at top level")
-    unknown = set(data) - TARGET_KEYS
+    unknown = set(data) - set(TARGET_FIELDS)
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
-    sq_map: dict = {}
-    for idx, entry in enumerate(_entries(data, "sq_distances", where)):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{where}: sq_distances[{idx}] must be [i, j, value]")
-        i, j = _indices(entry[:2], f"{where}: sq_distances[{idx}]")
-        v = _value(entry[2], f"{where}: sq_distances[{idx}]")
-        key = (i, j) if i < j else (j, i)
-        if key in sq_map:
-            raise ParseError(f"{where}: duplicate distance target for edge {key}")
-        sq_map[key] = v
-    cos_map: dict = {}
-    for field, convert in (("cosines", float), ("cosines_deg", lambda d: float(np.cos(np.deg2rad(d))))):
+    targets: dict = {edge_key: {}, angle_key: {}}  # per key rule
+    for field, (names, key_rule, what, convert) in TARGET_FIELDS.items():
+        arity = len(names)
+        found = targets[key_rule]
         for idx, entry in enumerate(_entries(data, field, where)):
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise ParseError(f"{where}: {field}[{idx}] must be [k, i, j, value]")
-            k, i, j = _indices(entry[:3], f"{where}: {field}[{idx}]")
-            v = _value(entry[3], f"{where}: {field}[{idx}]")
-            key = (k, i, j) if i < j else (k, j, i)
-            if key in cos_map:
-                raise ParseError(f"{where}: duplicate cosine target for angle {key}")
-            cos_map[key] = convert(v)
+            at = f"{where}: {field}[{idx}]"
+            if not isinstance(entry, list) or len(entry) != arity + 1:
+                raise ParseError(f"{at} must be [{', '.join(names)}, value]")
+            key = key_rule(*_indices(entry[:arity], at))
+            value = convert(_value(entry[arity], at))
+            if key in found:
+                raise ParseError(f"{where}: duplicate {what} {key}")
+            found[key] = value
     try:
-        return align_targets(graph, sq_map, cos_map)
+        return align_targets(graph, targets[edge_key], targets[angle_key])
     except ValueError as exc:  # a value out of range for its constraint
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -197,13 +195,13 @@ def load_targets(path: str, graph) -> TargetSpec:
 # reports and traces
 
 
+# A CSV float: 17 significant digits read back as the same float64.
+FLOAT_CELL = "%.17g"
+
+
 def report_to_json(report: RigidityReport) -> str:
     """Canonical JSON encoding; parsing and re-serializing is byte-stable."""
     return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def format_row_label(label) -> str:
@@ -218,14 +216,14 @@ def format_row_label(label) -> str:
 def matrix_to_csv(matrix, row_labels=None) -> str:
     """Numeric matrix as CSV, optionally with a leading row-label column."""
     matrix = np.asarray(matrix, float)
-    cols = [f"c{c}" for c in range(matrix.shape[1])]
-    header = (["row"] if row_labels is not None else []) + cols
-    lines = [",".join(header)]
-    for r in range(matrix.shape[0]):
-        fields = [format_row_label(row_labels[r])] if row_labels is not None else []
-        fields.extend(_fmt(v) for v in matrix[r])
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    header = [f"c{c}" for c in range(matrix.shape[1])]
+    cells = [FLOAT_CELL] * matrix.shape[1]
+    rows = [tuple(row) for row in matrix.tolist()]
+    if row_labels is not None:
+        header, cells = ["row", *header], ["%s", *cells]
+        rows = [(format_row_label(row_labels[r]), *row) for r, row in enumerate(rows)]
+    line = ",".join(cells)
+    return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
 
 
 def write_matrix_csv(matrix, path: str, row_labels=None) -> None:
@@ -245,7 +243,7 @@ def trace_to_csv(trace: SimulationTrace) -> str:
         errs = ",".join(f"e{k+1}" for k in range(trace.errors.shape[1]))
         header = f"time,{coords},{errs},V"
     table = np.hstack(columns)
-    line = ",".join(["%.17g"] * table.shape[1])  # the ``_fmt`` format
+    line = ",".join([FLOAT_CELL] * table.shape[1])
     return "\n".join([header, *(line % tuple(row.tolist()) for row in table)]) + "\n"
 
 

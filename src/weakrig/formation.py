@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COLLOCATION_REL_TOL, Framework, Graph, build_graph, collocated, stable_norm
+from .core import (COLLOCATION_REL_TOL, Framework, Graph, angle_key, build_graph, collocated,
+                   edge_key, stable_norm)
 from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
     central_differences,
@@ -41,16 +42,6 @@ def is_three_agent_topology(g: Graph) -> bool:
     return g.n == 3 and g.edges == CANONICAL_EDGES and g.angles == CANONICAL_ANGLES
 
 
-def _normalize_edge(e):
-    i, j = e
-    return (i, j) if i < j else (j, i)
-
-
-def _normalize_triple(t):
-    k, i, j = t
-    return (k, i, j) if i < j else (k, j, i)
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """Desired squared distances per edge and desired cosines per angle.
@@ -64,8 +55,8 @@ class TargetSpec:
     cosines: tuple[tuple[tuple[int, int, int], float], ...] = ()
 
     def __post_init__(self):
-        sq = tuple((_normalize_edge(e), float(v)) for (e, v) in self.sq_distances)
-        cs = tuple((_normalize_triple(t), float(v)) for (t, v) in self.cosines)
+        sq = tuple((edge_key(*e), float(v)) for (e, v) in self.sq_distances)
+        cs = tuple((angle_key(*t), float(v)) for (t, v) in self.cosines)
         for e, v in sq:
             if v < 0.0:
                 raise ValueError(f"desired squared distance for {e} must be >= 0, got {v}")
@@ -85,8 +76,8 @@ def align_targets(graph: Graph, sq_map, cos_map) -> TargetSpec:
     Raises TargetMismatch if the mappings do not cover the graph's
     constraints exactly.
     """
-    sq = {_normalize_edge(e): float(v) for e, v in dict(sq_map).items()}
-    cs = {_normalize_triple(t): float(v) for t, v in dict(cos_map).items()}
+    sq = {edge_key(*e): float(v) for e, v in dict(sq_map).items()}
+    cs = {angle_key(*t): float(v) for t, v in dict(cos_map).items()}
     missing = [e for e in graph.edges if e not in sq] + [a for a in graph.angles if a not in cs]
     extra = [e for e in sq if e not in set(graph.edges)] + [a for a in cs if a not in set(graph.angles)]
     if missing or extra:
@@ -192,6 +183,13 @@ def collinearity_tolerance(f: Framework) -> float:
     return COLLINEARITY_REL_TOL * (1.0 + max(d01, d02))
 
 
+def _det(positions: np.ndarray) -> np.ndarray:
+    """``det Z = det[p0 - p1, p0 - p2]`` of ``(..., 3, 2)`` positions, per leading index."""
+    z1 = positions[..., 0, :] - positions[..., 1, :]
+    z2 = positions[..., 0, :] - positions[..., 2, :]
+    return z1[..., 0] * z2[..., 1] - z1[..., 1] * z2[..., 0]
+
+
 @dataclass(frozen=True)
 class DetZ:
     det: float
@@ -207,13 +205,10 @@ def det_z(f: Framework, t: TargetSpec) -> DetZ:
     """
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("det Z is defined for the canonical three-agent topology")
-    z1 = f.positions[0] - f.positions[1]
-    z2 = f.positions[0] - f.positions[2]
-    det = float(z1[0] * z2[1] - z1[1] * z2[0])
     # z_k' = sum_j (E_0j - E_kj) z_j and E's zero row sums give the rate
     E = e_matrix_three_agent(f, t)
     sigma = float(E[1, 1] + E[2, 2] - E[0, 1] - E[0, 2])
-    return DetZ(det=det, sigma=sigma)
+    return DetZ(det=float(_det(f.positions)), sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -240,7 +235,7 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
         kind = "not-equilibrium"
     J = flow_jacobian(f, t)
     min_eig = float(np.linalg.eigvalsh(0.5 * (J + J.T))[0])
-    collinear = abs(det_z(f, t).det) < collinearity_tolerance(f)
+    collinear = abs(float(_det(f.positions))) < collinearity_tolerance(f)
     return EquilibriumReport(
         kind=kind,
         min_jacobian_eig=min_eig,
@@ -385,35 +380,32 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
+    times, states, errs = [], [], []
     k1, e = rhs(p)
-    times, states, errs = [0.0], [p if listed else p.tolist()], [e]
-    if degenerate(p):
-        return times, states, errs, "degenerate"
-    if math.hypot(*e) < cfg.convergence_eps:
-        return times, states, errs, "converged"
     k = 0
-    status = "max-time"
-    while k * dt < cfg.t_max - 1e-12:
-        k2, _ = rhs(axpy(p, half, k1))
-        k3, _ = rhs(axpy(p, half, k2))
-        k4, _ = rhs(axpy(p, dt, k3))
-        # p + sixth*(k1 + 2k2 + 2k3 + k4), bit for bit: 1.0*k4 is exact
-        p = axpy(p, sixth, axpy(axpy(axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4))
-        k += 1
-        k1, e = rhs(p)
+    status = None
+    while status is None:
+        t = k * dt
         x = p if listed else p.tolist()
-        times.append(k * dt)
+        times.append(t)
         states.append(x)
         errs.append(e)
         if degenerate(p):
             status = "degenerate"
-            break
-        if max(map(abs, x)) > cfg.divergence_bound:
+        elif k and max(map(abs, x)) > cfg.divergence_bound:
             status = "diverged"
-            break
-        if math.hypot(*e) < cfg.convergence_eps:
+        elif math.hypot(*e) < cfg.convergence_eps:
             status = "converged"
-            break
+        elif not t < cfg.t_max - 1e-12:
+            status = "max-time"
+        else:
+            k2, _ = rhs(axpy(p, half, k1))
+            k3, _ = rhs(axpy(p, half, k2))
+            k4, _ = rhs(axpy(p, dt, k3))
+            # p + sixth*(k1 + 2k2 + 2k3 + k4), bit for bit: 1.0*k4 is exact
+            p = axpy(p, sixth, axpy(axpy(axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4))
+            k += 1
+            k1, e = rhs(p)
     return times, states, errs, status
 
 
@@ -421,12 +413,8 @@ def _trace(times, states, errs, status, canonical: bool) -> SimulationTrace:
     positions = np.array(states).reshape(len(states), -1, 2)
     errors = np.array(errs)
     error_norm = stable_norm(errors, axis=1)
-    det = None
     with np.errstate(over="ignore"):  # V and det Z of a diverged run may pass the float range
-        if canonical:  # det Z of the edge vectors p0 - p1 and p0 - p2, per sample
-            z1 = positions[:, 0] - positions[:, 1]
-            z2 = positions[:, 0] - positions[:, 2]
-            det = z1[:, 0] * z2[:, 1] - z1[:, 1] * z2[:, 0]
+        det = _det(positions) if canonical else None
         lyapunov = 0.5 * error_norm**2
     return SimulationTrace(
         times=np.array(times),
@@ -447,9 +435,11 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
     (diverged).  The trace records every step, starting with the initial
     condition.  The canonical three-agent topology runs on the scalar
     :func:`_rhs_canonical` and its trace carries ``det Z``; any other graph
-    runs on the constraint kernel (:func:`_rhs_generic`).
+    runs on the constraint kernel (:func:`_rhs_generic`).  A framework
+    that is not 2D raises ValueError.
     """
     cfg = cfg or SimulationConfig()
+    compile_planar(f0, "the gradient flow")
     _check_cover(f0, t)
     canonical = is_three_agent_topology(f0.graph)
     if canonical:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Framework, build_graph
+from .core import Framework, build_graph, edge_key
 from .errors import (
     BadAnchor,
     CollinearPlacement,
@@ -104,7 +104,7 @@ def weakly_rigid_1_extension(f: Framework, i: int, j: int, k: int, pos) -> Frame
     witness ``k`` toward ``i`` and ``j``.
     """
     _check_anchor_pair(f, i, j)
-    edge = (i, j) if i < j else (j, i)
+    edge = edge_key(i, j)
     if edge not in f.graph.edges:
         raise EdgeNotFound(f"edge {edge} is not in the graph")
     n = f.graph.n

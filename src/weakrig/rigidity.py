@@ -271,9 +271,18 @@ def _report(R: np.ndarray, required: int, motions: np.ndarray, rel_tol: float,
 
 
 def _all_collinear(positions: np.ndarray) -> bool:
-    centered = positions - positions.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    return bool(s[0] == 0.0 or s[1] <= DEFAULT_RANK_TOL * s[0])
+    s = np.linalg.svd(positions - positions.mean(axis=0), compute_uv=False)
+    return _rank_cut(s, DEFAULT_RANK_TOL) < 2
+
+
+def _check_classifiable(f: Framework, dim: int) -> None:
+    """What the ``dim``-dimensional rank test needs of ``f`` before any matrix is built."""
+    if f.dim != dim:
+        raise ValueError(f"{dim}D classifier needs dim {dim}")
+    if f.graph.n < 3:
+        raise ValueError("rigidity classification needs n >= 3")
+    if not f.graph.constraint_count:
+        raise EmptyEdgeSet("framework has no constraints at all")
 
 
 def _required_rank_2d(g: Graph) -> int:
@@ -282,10 +291,7 @@ def _required_rank_2d(g: Graph) -> int:
 
 def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidityMatrix]:
     """Weak rigidity matrix of a framework the 2D rank test applies to."""
-    if f.dim != 2:
-        raise ValueError("2D classifier needs dim 2")
-    if f.graph.n < 3:
-        raise ValueError("rigidity classification needs n >= 3")
+    _check_classifiable(f, 2)
     if _all_collinear(f.positions):
         raise DegenerateConfiguration("all vertices are collinear")
     return trivial_motion_basis(f), weak_rigidity_matrix(f)
@@ -296,9 +302,10 @@ def classify_infinitesimal_weak_rigidity(
 ) -> RigidityReport:
     """Rank test for infinitesimal weak rigidity in 2D.
 
-    Requires ``n >= 3``.  Configurations that degrade the trivial-motion
-    count (``p = 0`` or all vertices collinear) raise
-    DegenerateConfiguration instead of returning a verdict.
+    Requires ``n >= 3``; a framework with no constraints raises
+    EmptyEdgeSet.  Configurations that degrade the trivial-motion count
+    (``p = 0`` or all vertices collinear) raise DegenerateConfiguration
+    instead of returning a verdict.
     """
     basis, R = _checked_weak_rigidity_matrix(f)
     return _report(R.matrix, _required_rank_2d(f.graph), basis, rel_tol, VERDICTS_2D)
@@ -324,14 +331,8 @@ def classify_weak_rigidity_3d(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     for weak rigidity; below that the verdict is a generic-configuration
     negative (the converse needs genericity).
     """
-    if f.dim != 3:
-        raise ValueError("3D classifier needs dim 3")
-    if f.graph.n < 3:
-        raise ValueError("rigidity classification needs n >= 3")
-    closure = induced_distance_closure(f.graph)
-    if not closure.edges:
-        raise EmptyEdgeSet("framework has no constraints at all")
-    fc = Framework(graph=closure, dim=3, positions=f.positions)
+    _check_classifiable(f, 3)
+    fc = Framework(graph=induced_distance_closure(f.graph), dim=3, positions=f.positions)
     return _report(distance_rigidity_matrix(fc), 3 * f.graph.n - 6, rigid_motions(f.positions),
                    rel_tol, VERDICTS_3D, note="negative verdict assumes a generic configuration")
 

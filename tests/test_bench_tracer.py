@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from weakrig import weak_rigidity_matrix
+from weakrig import SimulationConfig, grow_random, simulate, weak_rigidity_matrix
+from weakrig.fileio import trace_to_csv
 
 from conftest import rhombus_framework
 
@@ -42,3 +43,16 @@ def test_weak_rigidity_matrix_result_has_matrix(tracing):
     counts = Counter()
     tracing._result_counts("rigidity.weak_rigidity_matrix", result, counts)
     assert counts["rigidity.rw_entries"] == result.matrix.size == 5 * 8
+
+
+def test_flow_and_growth_results_give_their_counts(tracing, bench_initial, bench_targets,
+                                                   triangle_k3):
+    trace = simulate(bench_initial, bench_targets, SimulationConfig(dt=0.01, t_max=0.05))
+    csv = trace_to_csv(trace)
+    grown = grow_random(triangle_k3, steps=2, rng_seed=3)
+    counts = Counter()
+    tracing._result_counts("formation.simulate", trace, counts)
+    tracing._result_counts("fileio.trace_to_csv", csv, counts)
+    tracing._result_counts("henneberg.grow_random", grown, counts)
+    assert counts == {"formation.steps": 5, "fileio.csv_bytes": len(csv),
+                      "henneberg.accepted_steps": 2}

@@ -95,6 +95,21 @@ class TestAnalyze:
         assert code == 0
         assert "rank 6/6" in out and "weakly rigid" in out
 
+    def test_no_constraints_gives_one_error_line(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bare.json", {"dim": 2, "positions": RHOMBUS_POS.tolist()})
+        assert main(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: framework has no constraints at all\n"
+        assert captured.out == ""
+
+    def test_tol_must_lie_in_the_unit_interval(self, capsys):
+        for tol in ("1", "5"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["analyze", "fw.json", "--tol", tol])
+            assert exc.value.code == 2
+            assert f"--tol must be in (0, 1), got {tol}" in capsys.readouterr().err
+        assert build_parser().parse_args(["analyze", "fw.json", "--tol", "0.5"]).tol == 0.5
+
     def test_mode_mismatch(self, tmp_path, capsys):
         assert main(["analyze", rhombus_file(tmp_path, "a"), "--mode", "3d"]) == 1
 

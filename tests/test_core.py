@@ -15,13 +15,15 @@ from weakrig import (
     Graph,
     IndexOutOfRange,
     SelfLoop,
+    TargetSpec,
     build_graph,
     induced_angle_support,
     induced_distance_closure,
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
-from weakrig.core import COLLOCATION_REL_TOL, collocation_tolerance, min_separation, stable_norm
+from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance, edge_key,
+                          min_separation, stable_norm)
 
 from conftest import TRIANGLE_POS, random_framework, random_positions
 
@@ -61,6 +63,18 @@ class TestBuildGraph:
         g = build_graph(4, edges=[(2, 0)], angles=[(1, 3, 0)])
         assert g.edges == ((0, 2),)
         assert g.angles == ((1, 0, 3),)
+
+    def test_key_helpers(self):
+        assert edge_key(2, 0) == edge_key(0, 2) == (0, 2)
+        assert angle_key(1, 3, 0) == angle_key(1, 0, 3) == (1, 0, 3)
+        with pytest.raises(TypeError):
+            edge_key(0, 1, 2)
+        with pytest.raises(TypeError):
+            angle_key(0, 1)
+        with pytest.raises(TypeError):  # an entry of the wrong length
+            TargetSpec(sq_distances=(((0, 1, 2), 4.0),))
+        with pytest.raises(TypeError):
+            TargetSpec(cosines=(((0, 1), 0.5),))
 
 
 class TestInducedGraphs:

@@ -26,7 +26,7 @@ from weakrig import (
     realize_canonical_targets,
     simulate,
 )
-from weakrig.formation import _rhs_canonical, _rhs_generic, _trace
+from weakrig.formation import _det, _rhs_canonical, _rhs_generic, _trace
 
 from conftest import (
     BENCH_TARGETS,
@@ -165,6 +165,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimulationConfig(**{name: value})
 
+    @pytest.mark.parametrize("three_agent", [True, False], ids=["three-agent", "generic"])
+    def test_rejects_3d(self, bench_targets, three_agent):
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.1], [0.1, 1.0, 0.3]])
+        if three_agent:
+            f, t = Framework(canonical_three_agent_graph(), 3, pos), bench_targets
+        else:
+            f = Framework(build_graph(3, edges=[(0, 1), (1, 2)], angles=[(0, 1, 2)]), 3, pos)
+            t = TargetSpec(sq_distances=(((0, 1), 1.0), ((1, 2), 1.0)), cosines=(((0, 1, 2), 0.5),))
+        with pytest.raises(ValueError, match="is defined for dim 2"):
+            simulate(f, t, SimulationConfig(t_max=0.01))
+
     def test_already_converged(self, bench_targets):
         f = realize_canonical_targets(bench_targets)
         trace = simulate(f, bench_targets)
@@ -289,6 +300,14 @@ class TestDetZ:
     def test_wrong_topology(self, triangle_k3, bench_targets):
         with pytest.raises(WrongTopology):
             det_z(triangle_k3, bench_targets)
+
+    def test_stacked_det_matches_scalar_expression(self):
+        rng = np.random.default_rng(143)
+        states = rng.normal(size=(200, 3, 2)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1, 1))
+        for p, det in zip(states, _det(states)):
+            z1, z2 = p[0] - p[1], p[0] - p[2]
+            assert det == z1[0] * z2[1] - z1[1] * z2[0]
+            assert _det(p) == det
 
     def test_decay_identity_along_trace(self, bench_targets):
         # Start near the target and skip the fast transient (modes decaying

@@ -193,6 +193,12 @@ class TestClassify2D:
         report = classify_infinitesimal_weak_rigidity(f)
         assert not report.rigid and report.rank == 2 and report.required_rank == 3
 
+    def test_no_constraints_at_all(self):
+        f = Framework(build_graph(4), 2, RHOMBUS_POS)
+        for test in (classify_infinitesimal_weak_rigidity, is_minimally_weakly_rigid):
+            with pytest.raises(EmptyEdgeSet, match="framework has no constraints at all"):
+                test(f)
+
     def test_collinear_configuration_rejected(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]])
         f = Framework(build_graph(3, edges=[(0, 1), (1, 2), (0, 2)]), 2, pos)
