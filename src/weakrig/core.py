@@ -164,6 +164,7 @@ class Framework:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        object.__setattr__(self, "dim", int(self.dim))  # 3.0 would index as a float
         pos = np.asarray(self.positions, dtype=float)
         if pos.shape != (self.graph.n, self.dim):
             raise ValueError(

@@ -235,7 +235,7 @@ def trace_to_csv(trace: SimulationTrace) -> str:
     samples, n = trace.positions.shape[:2]
     columns = [trace.times[:, None], trace.positions.reshape(samples, -1), trace.errors,
                trace.lyapunov[:, None]]
-    if trace.det_z is not None and n == 3 and trace.errors.shape[1] == 3:
+    if trace.det_z is not None:  # only the three-agent topology's trace has det Z
         header = "time,x1,y1,x2,y2,x3,y3,e12,e13,ecos,V,detZ"
         columns.append(trace.det_z[:, None])
     else:

@@ -19,8 +19,8 @@ from .core import (COLLOCATION_REL_TOL, Framework, Graph, angle_key, build_graph
                    edge_key, stable_norm)
 from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
+    CompiledGraph,
     central_differences,
-    compile_graph,
     compile_planar,
     constraint_kernel,
     weak_rigidity_function,
@@ -345,13 +345,12 @@ def _collocated_three(x) -> bool:
                math.hypot(x1 - x2, y1 - y2)) < tol
 
 
-def _rhs_generic(positions, graph, target_values):
-    """Gradient flow for any constraint graph: ``(-R_W^T e, e)``, no validation.
+def _rhs_generic(positions, cg: CompiledGraph, target_values):
+    """Gradient flow for any compiled constraint graph: ``(-R_W^T e, e)``, no validation.
 
-    One unchecked :func:`constraint_kernel` call on the graph's cached
-    compiled form; the velocity is an ``(n, 2)`` array.
+    One :func:`constraint_kernel` call; the velocity is an ``(n, 2)`` array.
     """
-    values, _, grad = constraint_kernel(positions, compile_graph(graph), target_values, check=False)
+    values, _, grad = constraint_kernel(positions, cg, target_values)
     return -grad, values - target_values
 
 
@@ -439,7 +438,7 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
     that is not 2D raises ValueError.
     """
     cfg = cfg or SimulationConfig()
-    compile_planar(f0, "the gradient flow")
+    cg = compile_planar(f0, "the gradient flow")
     _check_cover(f0, t)
     canonical = is_three_agent_topology(f0.graph)
     if canonical:
@@ -451,10 +450,10 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
 
         degenerate = _collocated_three
     else:
-        graph, tv, shape, p0 = f0.graph, t.values(), f0.positions.shape, f0.config()
+        tv, shape, p0 = t.values(), f0.positions.shape, f0.config()
 
         def rhs(x):
-            vel, e = _rhs_generic(x.reshape(shape), graph, tv)
+            vel, e = _rhs_generic(x.reshape(shape), cg, tv)
             return vel.ravel(), e
 
         def degenerate(x):

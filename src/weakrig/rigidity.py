@@ -23,7 +23,6 @@ from .core import (
     Framework,
     Graph,
     collocated,
-    collocation_tolerance,
     induced_distance_closure,
 )
 from .errors import CollocatedPoints, DegenerateConfiguration, EmptyEdgeSet
@@ -78,7 +77,14 @@ class CompiledGraph:
 
 @functools.lru_cache(maxsize=64)
 def compile_graph(g: Graph, dim: int = 2) -> CompiledGraph:
-    """Compile ``g`` for ``dim``-dimensional positions; equal graphs share one result."""
+    """Compile ``g`` for ``dim``-dimensional positions; equal graphs share one result.
+
+    An angle that repeats a vertex, which only a hand-built ``Graph`` can
+    hold, has a zero-length side at every configuration: CollocatedPoints.
+    """
+    for k, i, j in g.angles:
+        if len({k, i, j}) != 3:
+            raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
     ei, ej = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     k, i, j = np.array(g.angles, dtype=np.intp).reshape(-1, 3).T
     edge_rows, angle_rows = np.arange(g.m), np.arange(g.m, g.m + g.q)
@@ -88,29 +94,22 @@ def compile_graph(g: Graph, dim: int = 2) -> CompiledGraph:
                          block_rows, block_cols)
 
 
-def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=False, check=True):
+def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=False):
     """Constraint values at ``positions`` and, on request, ``R_W`` and ``R_W^T e``.
 
     Returns ``(values, R, grad)``: squared edge lengths then cosines clamped
     to [-1, 1]; the dense Jacobian of the unclamped values if ``matrix``;
     ``R_W^T (values - target_values)`` as an ``(n, dim)`` array, summed per
     vertex in block order, if targets are given.  Parts not asked for are
-    None.  ``check`` raises CollocatedPoints for an angle with a side below
-    the collocation tolerance; without it the positions are trusted.
+    None.  The positions are trusted: collocation is checked where a
+    configuration is made (:class:`Framework`, :func:`central_differences`),
+    and the flow tests each state it records.
     """
-    g = cg.graph
-    m, q = g.m, g.q
+    m, q = cg.graph.m, cg.graph.q
     z = positions.take(cg.tails, axis=0) - positions.take(cg.heads, axis=0)
     sq = (z * z).sum(axis=1)
     za, zb = z[m:m + q], z[m + q:]
     na2, nb2 = sq[m:m + q], sq[m + q:]
-    if check and q:
-        zc = za - zb
-        side = np.sqrt(np.minimum(np.minimum(na2, nb2), (zc * zc).sum(axis=1)))
-        short = side < collocation_tolerance(positions)
-        if short.any():
-            k, i, j = g.angles[int(np.argmax(short))]
-            raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
     inv = 1.0 / np.sqrt(na2 * nb2)
     cos = (za * zb).sum(axis=1) * inv
     values = np.concatenate([sq[:m], np.clip(cos, -1.0, 1.0)])

@@ -443,3 +443,22 @@ class TestCheckGradient:
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
         assert main(["check-gradient", str(bad)]) == 1
+
+
+class TestSingleDimGate:
+    @pytest.mark.parametrize("command, what", [("simulate", "the gradient flow"),
+                                               ("check-gradient", "weak rigidity matrix")])
+    def test_3d_file_gives_one_error_line(self, tmp_path, capsys, command, what):
+        # K4 is not the three-agent topology, yet no warning precedes the error.
+        edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
+        fw = write_json(tmp_path / "k4.json", {
+            "dim": 3,
+            "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "edges": edges,
+        })
+        tg = write_json(tmp_path / "k4t.json", {"sq_distances": [[i, j, 1.0] for i, j in edges]})
+        argv = [command, fw, "--targets", tg] if command == "simulate" else [command, fw]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {what} is defined for dim 2\n"
+        assert captured.out == ""

@@ -7,15 +7,26 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakrig import Framework, ParseError, build_graph
+from weakrig import (
+    Framework,
+    ParseError,
+    WeakRigError,
+    build_graph,
+    classify_weak_rigidity_3d,
+    distance_rigidity_matrix,
+)
 from weakrig.fileio import (
     dump_framework,
     framework_from_dict,
+    framework_to_dict,
     load_framework,
     load_targets,
     targets_from_dict,
 )
+from weakrig.rigidity import compile_graph
 
 from conftest import TRIANGLE_POS
 
@@ -84,6 +95,22 @@ class TestFrameworkFiles:
         data = {"dim": 2, "positions": [list(p) for p in TRIANGLE_POS], key: value}
         with pytest.raises(ParseError, match=f"<framework>: {key} must be a list$"):
             framework_from_dict(data)
+
+    def test_integral_float_dim_stored_as_int(self, tmp_path):
+        # A float dim once gave float column indices to the compiled graph,
+        # whose cache entry then served an equal graph compiled with dim 3.
+        compile_graph.cache_clear()
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps({
+            "dim": 3.0,
+            "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)],
+        }))
+        f = load_framework(str(path))
+        assert distance_rigidity_matrix(f).shape == (6, 12)
+        assert classify_weak_rigidity_3d(f).rigid
+        dim = framework_to_dict(f)["dim"]
+        assert dim == 3 and type(dim) is int
 
     def test_json_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -181,3 +208,83 @@ class TestWrittenFileMode:
         finally:
             os.umask(previous)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# ---------------------------------------------------------------------------
+# parse fuzzing: whatever JSON value comes in, only a WeakRigError goes out
+
+
+TEXT = st.text("dim0é", max_size=3)  # a fixed alphabet needs no Unicode table on disk
+NUMBERS = st.integers(-1, 4) | st.floats() | st.sampled_from([10**400, -(2**70), True, False])
+JSON_VALUES = st.recursive(
+    st.none() | NUMBERS | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+REMOVE = object()  # an edit that deletes the part instead of replacing it
+
+# Valid documents over FUZZ_GRAPH; the fuzz edits parts of them.
+FUZZ_GRAPH = build_graph(4, edges=[(0, 1), (1, 2)], angles=[(0, 1, 2), (3, 1, 2)])
+FRAMEWORK_DOCUMENT = {"dim": 2, "positions": [[0, 0], [2, 0], [0, 2], [2.5, 2]],
+                      "edges": [[0, 1], [1, 2]], "angles": [[0, 1, 2], [3, 1, 2]]}
+TARGET_DOCUMENT = {"sq_distances": [[0, 1, 4], [1, 2, 8.0]], "cosines": [[0, 1, 2, 0.5]],
+                   "cosines_deg": [[3, 1, 2, 45]]}
+
+
+def paths(value, path=()):
+    """The path of ``value`` and of every part of it, as tuples of keys and indices."""
+    yield path
+    parts = value.items() if isinstance(value, dict) else enumerate(
+        value if isinstance(value, list) else ())
+    for key, part in parts:
+        yield from paths(part, (*path, key))
+
+
+def edited(document, edits):
+    """``document`` with each ``(path, value)`` edit applied in turn; a stale path is skipped."""
+    for path, value in edits:
+        if not path:
+            document = document if value is REMOVE else value
+            continue
+        parent = document
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is REMOVE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return document
+
+
+def edits_of(document):
+    """``document`` (a fresh copy) with up to three parts replaced by any JSON value or removed."""
+    edit = st.tuples(st.sampled_from(list(paths(document))), JSON_VALUES | st.just(REMOVE))
+    return st.lists(edit, max_size=3).map(lambda e: edited(json.loads(json.dumps(document)), e))
+
+
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+class TestParseFuzz:
+    def test_unedited_documents_parse(self):
+        assert framework_from_dict(FRAMEWORK_DOCUMENT).graph == FUZZ_GRAPH
+        targets_from_dict(TARGET_DOCUMENT, FUZZ_GRAPH)
+
+    @FUZZ_SETTINGS
+    @given(edits_of(FRAMEWORK_DOCUMENT))
+    def test_framework_parse_raises_only_weakrig_errors(self, data):
+        try:
+            framework_from_dict(data)
+        except WeakRigError:
+            pass
+
+    @FUZZ_SETTINGS
+    @given(edits_of(TARGET_DOCUMENT))
+    def test_target_parse_raises_only_weakrig_errors(self, data):
+        try:
+            targets_from_dict(data, FUZZ_GRAPH)
+        except WeakRigError:
+            pass

@@ -27,6 +27,7 @@ from weakrig import (
     simulate,
 )
 from weakrig.formation import _det, _rhs_canonical, _rhs_generic, _trace
+from weakrig.rigidity import compile_graph
 
 from conftest import (
     BENCH_TARGETS,
@@ -281,7 +282,7 @@ class TestSimulate:
             u_lib = control_law(f, t)
             u_fast, _ = _rhs_canonical(f.config(), *(v for _, v in t.sq_distances),
                                        t.cosines[0][1])
-            u_gen, errs = _rhs_generic(f.positions, f.graph, t.values())
+            u_gen, errs = _rhs_generic(f.positions, compile_graph(f.graph), t.values())
             assert np.max(np.abs(u_lib - np.array(u_fast))) < 1e-13
             assert np.max(np.abs(u_lib - u_gen.ravel())) < 1e-13
             assert np.max(np.abs(errs - error_vector(f, t).values)) < 1e-14

@@ -30,7 +30,7 @@ from weakrig import (
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
-from weakrig import formation
+from weakrig import formation, rigidity
 from weakrig.formation import _rhs_generic
 from weakrig.rigidity import compile_graph
 
@@ -207,7 +207,7 @@ class TestKernelAgainstLoops:
     def test_gradient_flow(self, cases):
         for f, tv in cases:
             vel, errs = loop_rhs(f.positions, f.graph, tv)
-            got_vel, got_errs = _rhs_generic(f.positions, f.graph, tv)
+            got_vel, got_errs = _rhs_generic(f.positions, compile_graph(f.graph), tv)
             assert_close(got_vel, vel)
             assert_close(got_errs, errs)
             assert_close(control_law(f, target_spec(f.graph, tv)), vel.ravel())
@@ -233,7 +233,7 @@ class TestKernelAgainstLoops:
         g = build_graph(4, angles=[(0, 1, 2), (0, 1, 3)])
         f = Framework(g, 2, np.array([[0.0, 0.0], u, s * u, -s * u]))
         assert list(weak_rigidity_function(f)) == [1.0, -1.0]
-        assert list(_rhs_generic(f.positions, g, np.zeros(2))[1]) == [1.0, -1.0]
+        assert list(_rhs_generic(f.positions, compile_graph(g), np.zeros(2))[1]) == [1.0, -1.0]
 
     def test_no_constraints(self):
         f = Framework(build_graph(3), 2, TRIANGLE_POS)
@@ -281,6 +281,26 @@ class TestRhsCallsPerStep:
         steps = len(trace) - 1
         assert trace.terminal_status == "max-time" and steps == 250
         assert len(calls) == 4 * steps + 1
+
+
+class TestOneCompilePerRun:
+    def test_generic_run_compiles_its_graph_once(self, monkeypatch):
+        calls = []
+        original = rigidity.compile_graph
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # The flow may reach the compiler through either module's name.
+        monkeypatch.setattr(rigidity, "compile_graph", counted)
+        monkeypatch.setattr(formation, "compile_graph", counted, raising=False)
+        g = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)], angles=[(0, 1, 2)])
+        f0 = Framework(g, 2, np.array([[-3.0, 0.0], [1.0, 1.0], [-1.0, -3.0]]))
+        tv = np.array([8.0, 9.0, 10.0, BENCH_TARGETS[2]])
+        trace = simulate(f0, target_spec(g, tv), SimulationConfig(dt=1e-3, t_max=0.01))
+        assert trace.terminal_status == "max-time" and len(trace) - 1 == 10
+        assert len(calls) == 1
 
 
 class TestCollocationChecks:

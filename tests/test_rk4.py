@@ -30,6 +30,7 @@ from weakrig import (
 from weakrig.core import collocated, collocation_tolerance
 from weakrig.fileio import trace_to_csv
 from weakrig.formation import _collocated_three, _rhs_generic, _rk4
+from weakrig.rigidity import compile_graph
 
 from conftest import BENCH_INITIAL, BENCH_TARGETS, TRIANGLE_POS, random_positions
 
@@ -166,10 +167,10 @@ def array_rk4(p, rhs, degenerate, cfg):
 
 def array_simulate_generic(f0, t, cfg):
     """The kernel flow on ``array_rk4``; returns ``(times, positions, errors, status)``."""
-    shape, tv = f0.positions.shape, t.values()
+    shape, tv, cg = f0.positions.shape, t.values(), compile_graph(f0.graph)
 
     def rhs(x):
-        vel, e = _rhs_generic(x.reshape(shape), f0.graph, tv)
+        vel, e = _rhs_generic(x.reshape(shape), cg, tv)
         return vel.ravel(), e
 
     times, states, errs, status = array_rk4(
