@@ -9,7 +9,6 @@ from .core import (
     Framework,
     Graph,
     build_graph,
-    induced_angle_support,
     induced_distance_closure,
 )
 from .errors import (
@@ -65,7 +64,6 @@ from .rigidity import (
     classify_infinitesimal_weak_rigidity,
     classify_weak_rigidity_3d,
     cosine_edge_partials,
-    distance_rigidity_matrix,
     finite_difference_weak_rigidity_matrix,
     is_minimally_weakly_rigid,
     numerical_rank,

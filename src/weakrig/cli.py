@@ -28,7 +28,6 @@ from .formation import (
 from .henneberg import grow_random
 from .rigidity import (
     classify_infinitesimal_weak_rigidity,
-    classify_weak_rigidity_3d,
     finite_difference_weak_rigidity_matrix,
     weak_rigidity_matrix,
 )
@@ -111,10 +110,7 @@ def cmd_analyze(args) -> int:
     if args.mode != "auto" and int(args.mode[0]) != f.dim:
         print(f"error: file has dim {f.dim} but --mode {args.mode} was requested", file=sys.stderr)
         return EXIT_ERROR
-    if f.dim == 2:
-        report = classify_infinitesimal_weak_rigidity(f, rel_tol=args.tol)
-    else:
-        report = classify_weak_rigidity_3d(f, rel_tol=args.tol)
+    report = classify_infinitesimal_weak_rigidity(f, rel_tol=args.tol)
     if args.json:
         print(fileio.report_to_json(report))
     else:
@@ -122,8 +118,6 @@ def cmd_analyze(args) -> int:
         print(f"null space dimension: {report.null_space_dim}")
         print(f"trivial motion residual: {report.trivial_motion_residual:.3e}")
         print(f"rank tolerance: {report.tolerance_used:g}")
-        if report.note:
-            print(f"note: {report.note}")
     return EXIT_OK if report.rigid else EXIT_NOT_RIGID
 
 

@@ -104,20 +104,14 @@ def build_graph(n, edges=(), angles=()) -> Graph:
     return Graph(n=n, edges=tuple(norm_edges), angles=tuple(norm_angles))
 
 
-def induced_angle_support(g: Graph) -> Graph:
-    """Augment the edge set with the three support edges of every angle.
+def induced_distance_closure(g: Graph) -> Graph:
+    """Convert every angle into its three support edges; drop all angles.
 
     Original edges come first in their input order; edges contributed by
-    angles follow in sorted order.  Angle triples are kept.
+    angles follow in sorted order.
     """
     added = {e for k, i, j in g.angles for e in (edge_key(i, j), edge_key(i, k), edge_key(j, k))}
-    return Graph(n=g.n, edges=g.edges + tuple(sorted(added - set(g.edges))), angles=g.angles)
-
-
-def induced_distance_closure(g: Graph) -> Graph:
-    """Convert every angle into its three support edges; drop all angles."""
-    closed = induced_angle_support(g)
-    return Graph(n=g.n, edges=closed.edges, angles=())
+    return Graph(n=g.n, edges=g.edges + tuple(sorted(added - set(g.edges))))
 
 
 def collocation_tolerance(positions: np.ndarray) -> float:

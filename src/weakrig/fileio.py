@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .core import Framework, angle_key, build_graph, edge_key
-from .errors import ParseError, WeakRigError
+from .errors import ParseError, TargetMismatch, WeakRigError
 from .formation import SimulationTrace, TargetSpec, align_targets
 from .rigidity import RigidityReport
 
@@ -183,7 +183,7 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
             found[key] = value
     try:
         return align_targets(graph, targets[edge_key], targets[angle_key])
-    except ValueError as exc:  # a value out of range for its constraint
+    except (ValueError, TargetMismatch) as exc:  # a value out of range, or not one per constraint
         raise ParseError(f"{where}: {exc}") from exc
 
 

@@ -21,7 +21,7 @@ from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
     CompiledGraph,
     central_differences,
-    compile_planar,
+    compile_graph,
     constraint_kernel,
     weak_rigidity_function,
 )
@@ -124,10 +124,17 @@ def error_vector(f: Framework, t: TargetSpec) -> ErrorVector:
     return ErrorVector(values=e, m=f.graph.m)
 
 
+def _compile_for_flow(f: Framework) -> CompiledGraph:
+    """The compiled graph of a framework the flow can run on; ValueError unless 2D."""
+    if f.dim != 2:
+        raise ValueError("the gradient flow is defined for dim 2")
+    return compile_graph(f.graph, f.dim)
+
+
 def control_law(f: Framework, t: TargetSpec) -> np.ndarray:
     """Gradient-descent velocity ``-R_W^T e`` as a stacked ``2n`` vector."""
     _check_cover(f, t)
-    return -constraint_kernel(f.positions, compile_planar(f), t.values())[2].ravel()
+    return -constraint_kernel(f.positions, _compile_for_flow(f), t.values())[2].ravel()
 
 
 def _cosine_coefficients(p: np.ndarray):
@@ -173,7 +180,7 @@ def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = 1e-6) -> np.ndar
     finite-difference error.
     """
     _check_cover(f, t)
-    cg, tv = compile_planar(f), t.values()
+    cg, tv = _compile_for_flow(f), t.values()
     return central_differences(lambda p: constraint_kernel(p, cg, tv)[2].ravel(), f.positions, fd_step)
 
 
@@ -438,7 +445,7 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
     that is not 2D raises ValueError.
     """
     cfg = cfg or SimulationConfig()
-    cg = compile_planar(f0, "the gradient flow")
+    cg = _compile_for_flow(f0)
     _check_cover(f0, t)
     canonical = is_three_agent_topology(f0.graph)
     if canonical:

@@ -1,13 +1,16 @@
 """Weak rigidity matrix, rank analysis, and rigidity classification.
 
-The weak rigidity function of a 2D framework stacks the squared edge
-lengths followed by the cosines of the constrained angles; its Jacobian
-with respect to the configuration is the weak rigidity matrix.  A
-framework is infinitesimally weakly rigid iff that matrix reaches rank
-``2n - 3`` (``2n - 4`` when there are no distance edges, since uniform
-scaling then also preserves every constraint).  In 3D the test runs on
-the distance rigidity matrix of the induced distance closure and the
-threshold is ``3n - 6``.
+The weak rigidity function of a framework in ``R^d`` (``d`` = 2 or 3)
+stacks the squared edge lengths followed by the cosines of the
+constrained angles; its Jacobian with respect to the configuration is the
+weak rigidity matrix ``R_W``.  One rank test serves both dimensions: a
+framework is infinitesimally weakly rigid iff ``R_W`` reaches rank
+``d n - d(d+1)/2``, one less when there are no distance edges (uniform
+scaling then also preserves every constraint), i.e. iff its only
+infinitesimal motions are the trivial ones.  The verdict is that
+infinitesimal property of the given configuration, in both directions; it
+implies weak rigidity, and the converse holds at generic configurations
+(Asimow & Roth, "The rigidity of graphs", 1978).
 """
 
 from __future__ import annotations
@@ -19,21 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Framework,
-    Graph,
-    collocated,
-    induced_distance_closure,
-)
+from .core import Framework, Graph, collocated
 from .errors import CollocatedPoints, DegenerateConfiguration, EmptyEdgeSet
 
 DEFAULT_RANK_TOL = 1e-9
 
 RowLabel = tuple[str, tuple]
 
-# (rigid, flexible) verdicts of each rank test.
-VERDICTS_2D = ("infinitesimally weakly rigid", "not infinitesimally weakly rigid")
-VERDICTS_3D = ("weakly rigid", "not weakly rigid (generic)")
+# (rigid, flexible) verdicts of the rank test.
+VERDICTS = ("infinitesimally weakly rigid", "not infinitesimally weakly rigid")
 
 
 def cosine_edge_partials(za, zb, zc):
@@ -131,16 +128,9 @@ def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=F
     return values, R, grad
 
 
-def compile_planar(f: Framework, what: str = "weak rigidity function") -> CompiledGraph:
-    """The compiled graph of a 2D framework; ValueError in 3D."""
-    if f.dim != 2:
-        raise ValueError(f"{what} is defined for dim 2")
-    return compile_graph(f.graph)
-
-
 def weak_rigidity_function(f: Framework) -> np.ndarray:
     """Squared edge lengths followed by the constrained cosines."""
-    return constraint_kernel(f.positions, compile_planar(f))[0]
+    return constraint_kernel(f.positions, compile_graph(f.graph, f.dim))[0]
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,7 @@ class WeakRigidityMatrix:
 
 
 def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
-    """Build the weak rigidity matrix of a 2D framework.
+    """Build the weak rigidity matrix of a framework in any dimension.
 
     One :func:`constraint_kernel` call: a distance row is ``2 z`` at the
     edge's endpoints with opposite signs, a cosine row the cosine's
@@ -164,7 +154,7 @@ def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
     ``("distance", edge)`` then ``("cosine", triple)`` in graph order.
     """
     g = f.graph
-    R = constraint_kernel(f.positions, compile_planar(f, "weak rigidity matrix"), matrix=True)[1]
+    R = constraint_kernel(f.positions, compile_graph(g, f.dim), matrix=True)[1]
     labels = [("distance", e) for e in g.edges] + [("cosine", a) for a in g.angles]
     return WeakRigidityMatrix(matrix=R, row_labels=tuple(labels))
 
@@ -191,7 +181,7 @@ def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> 
     Independent cross-check for the analytic matrix; used by the gradient
     check and by the test suite.
     """
-    cg = compile_planar(f)
+    cg = compile_graph(f.graph, f.dim)
     return central_differences(lambda p: constraint_kernel(p, cg)[0], f.positions, step)
 
 
@@ -226,13 +216,11 @@ def rigid_motions(positions: np.ndarray) -> np.ndarray:
 
 
 def trivial_motion_basis(f: Framework) -> np.ndarray:
-    """Columns spanning the trivial infinitesimal motions of a 2D framework.
+    """Columns spanning the trivial infinitesimal motions of a framework.
 
-    Two translations and one rotation; plus the configuration itself
-    (uniform scaling) when the framework has no distance edges.
+    The rigid motions of :func:`rigid_motions`; plus the configuration
+    itself (uniform scaling) when the framework has no distance edges.
     """
-    if f.dim != 2:
-        raise ValueError("trivial motion basis is defined for dim 2")
     basis = rigid_motions(f.positions)
     if f.graph.m == 0:
         basis = np.column_stack([basis, f.config()])
@@ -250,23 +238,9 @@ class RigidityReport:
     null_space_dim: int
     trivial_motion_residual: float
     tolerance_used: float
-    note: str = ""
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _report(R: np.ndarray, required: int, motions: np.ndarray, rel_tol: float,
-            verdicts: tuple[str, str], note: str = "") -> RigidityReport:
-    """Rank test of ``R`` against ``required``, with the largest entry of ``R``
-    times the unit-normed trivial ``motions``; ``note`` goes with a negative verdict."""
-    rank = numerical_rank(R, rel_tol)
-    rigid = rank == required
-    residual = float(np.max(np.abs(R @ (motions / np.linalg.norm(motions, axis=0)))))
-    return RigidityReport(
-        rank=rank, required_rank=required, rigid=rigid,
-        verdict=verdicts[0] if rigid else verdicts[1], null_space_dim=R.shape[1] - rank,
-        trivial_motion_residual=residual, tolerance_used=rel_tol, note="" if rigid else note)
 
 
 def _all_collinear(positions: np.ndarray) -> bool:
@@ -274,66 +248,48 @@ def _all_collinear(positions: np.ndarray) -> bool:
     return _rank_cut(s, DEFAULT_RANK_TOL) < 2
 
 
-def _check_classifiable(f: Framework, dim: int) -> None:
-    """What the ``dim``-dimensional rank test needs of ``f`` before any matrix is built."""
-    if f.dim != dim:
-        raise ValueError(f"{dim}D classifier needs dim {dim}")
+def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidityMatrix, int]:
+    """Trivial motions, ``R_W`` and required rank of a framework the rank test applies to.
+
+    The required rank is ``R_W``'s column count less the trivial motions:
+    ``d n - d(d+1)/2``, one less with no edges.
+    """
     if f.graph.n < 3:
         raise ValueError("rigidity classification needs n >= 3")
     if not f.graph.constraint_count:
         raise EmptyEdgeSet("framework has no constraints at all")
-
-
-def _required_rank_2d(g: Graph) -> int:
-    return 2 * g.n - 3 if g.m > 0 else 2 * g.n - 4
-
-
-def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidityMatrix]:
-    """Weak rigidity matrix of a framework the 2D rank test applies to."""
-    _check_classifiable(f, 2)
     if _all_collinear(f.positions):
         raise DegenerateConfiguration("all vertices are collinear")
-    return trivial_motion_basis(f), weak_rigidity_matrix(f)
+    basis = trivial_motion_basis(f)
+    return basis, weak_rigidity_matrix(f), f.positions.size - basis.shape[1]
 
 
 def classify_infinitesimal_weak_rigidity(
     f: Framework, rel_tol: float = DEFAULT_RANK_TOL
 ) -> RigidityReport:
-    """Rank test for infinitesimal weak rigidity in 2D.
+    """Rank test for infinitesimal weak rigidity, in 2D and 3D.
 
     Requires ``n >= 3``; a framework with no constraints raises
     EmptyEdgeSet.  Configurations that degrade the trivial-motion count
     (``p = 0`` or all vertices collinear) raise DegenerateConfiguration
-    instead of returning a verdict.
+    instead of returning a verdict.  The report carries the largest entry
+    of ``R_W`` times the unit-normed trivial motions as a residual.
     """
-    basis, R = _checked_weak_rigidity_matrix(f)
-    return _report(R.matrix, _required_rank_2d(f.graph), basis, rel_tol, VERDICTS_2D)
-
-
-def distance_rigidity_matrix(f: Framework) -> np.ndarray:
-    """Distance rigidity matrix: row ``z`` at endpoint ``i``, ``-z`` at ``j``.
-
-    This is half the Jacobian of the stacked squared edge lengths, in any
-    dimension.
-    """
-    g = f.graph
-    if not g.edges:
-        raise EmptyEdgeSet("distance rigidity matrix needs at least one edge")
-    edges_only = compile_graph(Graph(n=g.n, edges=g.edges), f.dim)
-    return 0.5 * constraint_kernel(f.positions, edges_only, matrix=True)[1]
+    basis, R, required = _checked_weak_rigidity_matrix(f)
+    rank = numerical_rank(R.matrix, rel_tol)
+    rigid = rank == required
+    residual = float(np.max(np.abs(R.matrix @ (basis / np.linalg.norm(basis, axis=0)))))
+    return RigidityReport(
+        rank=rank, required_rank=required, rigid=rigid,
+        verdict=VERDICTS[0] if rigid else VERDICTS[1], null_space_dim=R.shape[1] - rank,
+        trivial_motion_residual=residual, tolerance_used=rel_tol)
 
 
 def classify_weak_rigidity_3d(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> RigidityReport:
-    """Weak rigidity test in 3D via the induced distance closure.
-
-    Rank ``3n - 6`` of the closure's distance rigidity matrix is sufficient
-    for weak rigidity; below that the verdict is a generic-configuration
-    negative (the converse needs genericity).
-    """
-    _check_classifiable(f, 3)
-    fc = Framework(graph=induced_distance_closure(f.graph), dim=3, positions=f.positions)
-    return _report(distance_rigidity_matrix(fc), 3 * f.graph.n - 6, rigid_motions(f.positions),
-                   rel_tol, VERDICTS_3D, note="negative verdict assumes a generic configuration")
+    """:func:`classify_infinitesimal_weak_rigidity` of a framework that must be 3D."""
+    if f.dim != 3:
+        raise ValueError("3D classifier needs dim 3")
+    return classify_infinitesimal_weak_rigidity(f, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -347,25 +303,25 @@ class MinimalityResult:
 
 
 def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> MinimalityResult:
-    """Single-removal minimality test in 2D, decided from one SVD of ``R_W``.
+    """Single-removal minimality test, decided from one SVD of ``R_W``.
 
     Minimal means the framework passes its rank condition and every
     framework obtained by dropping one constraint fails its own rank
-    condition (which flips to ``2n - 4`` if the removal empties the edge
-    set).  A row can be dropped without losing rank iff it has weight in
-    the left null space ``U[:, rank:]`` of ``R_W``; the weight counts when
+    condition (which drops by one if the removal empties the edge set).
+    A row can be dropped without losing rank iff it has weight in the left
+    null space ``U[:, rank:]`` of ``R_W``; the weight counts when
     ``weight * s[rank-1]``, about the singular value the reduced matrix
     keeps, clears the rank cut ``rel_tol * s[0]``.  A lone edge is always
     removable: the angle rows annihilate scaling, so they reach at most
-    ``2n - 4``, the edge-free requirement.  The first removable constraint,
-    angles before edges, is the witness.  Raises the same errors as
+    the edge-free requirement.  The first removable constraint, angles
+    before edges, is the witness.  Raises the same errors as
     :func:`classify_infinitesimal_weak_rigidity`.
     """
-    _, R = _checked_weak_rigidity_matrix(f)
+    _, R, required = _checked_weak_rigidity_matrix(f)
     U, s, _ = np.linalg.svd(R.matrix)
     rank = _rank_cut(s, rel_tol)
     g = f.graph
-    if rank != _required_rank_2d(g):
+    if rank != required:
         return MinimalityResult(minimal=False, reason="not rigid")
     weight = np.linalg.norm(U[:, rank:], axis=1)
     removable = weight * s[rank - 1] > rel_tol * s[0]

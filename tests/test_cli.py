@@ -301,6 +301,18 @@ class TestSimulate:
         })
         assert main(["simulate", fw, "--targets", tg]) == 1
 
+    def test_uncovered_targets_name_the_file(self, tmp_path, capsys):
+        fw = bench_framework_file(tmp_path)
+        tg = write_json(tmp_path / "partial.json", {
+            "sq_distances": [[0, 1, 8.0]],
+            "cosines": [[0, 1, 2, 0.5]],
+        })
+        assert main(["simulate", fw, "--targets", tg]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {tg}: targets do not cover")
+        assert captured.out == ""
+
     def test_non_canonical_topology_warns(self, tmp_path, capsys):
         fw = write_json(tmp_path / "k3.json", {
             "dim": 2,
@@ -445,20 +457,30 @@ class TestCheckGradient:
         assert main(["check-gradient", str(bad)]) == 1
 
 
+K4_EDGES = [[i, j] for i in range(4) for j in range(i + 1, 4)]
+
+
+def k4_3d_file(tmp_path):
+    return write_json(tmp_path / "k4.json", {
+        "dim": 3,
+        "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "edges": K4_EDGES,
+    })
+
+
 class TestSingleDimGate:
-    @pytest.mark.parametrize("command, what", [("simulate", "the gradient flow"),
-                                               ("check-gradient", "weak rigidity matrix")])
+    @pytest.mark.parametrize("command, what", [("simulate", "the gradient flow")])
     def test_3d_file_gives_one_error_line(self, tmp_path, capsys, command, what):
         # K4 is not the three-agent topology, yet no warning precedes the error.
-        edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
-        fw = write_json(tmp_path / "k4.json", {
-            "dim": 3,
-            "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            "edges": edges,
-        })
-        tg = write_json(tmp_path / "k4t.json", {"sq_distances": [[i, j, 1.0] for i, j in edges]})
-        argv = [command, fw, "--targets", tg] if command == "simulate" else [command, fw]
-        assert main(argv) == 1
+        fw = k4_3d_file(tmp_path)
+        tg = write_json(tmp_path / "k4t.json", {"sq_distances": [[i, j, 1.0] for i, j in K4_EDGES]})
+        assert main([command, fw, "--targets", tg]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {what} is defined for dim 2\n"
         assert captured.out == ""
+
+    def test_3d_check_gradient_passes(self, tmp_path, capsys):
+        assert main(["check-gradient", k4_3d_file(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("max |analytic - finite difference| = ")
+        assert captured.err == ""

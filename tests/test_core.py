@@ -17,7 +17,6 @@ from weakrig import (
     SelfLoop,
     TargetSpec,
     build_graph,
-    induced_angle_support,
     induced_distance_closure,
     weak_rigidity_function,
     weak_rigidity_matrix,
@@ -80,31 +79,31 @@ class TestBuildGraph:
 class TestInducedGraphs:
     def test_angle_support_of_triangle_with_angle(self):
         g = build_graph(3, edges=[(0, 1), (0, 2)], angles=[(0, 1, 2)])
-        gp = induced_angle_support(g)
-        assert gp.edges == ((0, 1), (0, 2), (1, 2))
-        assert gp.angles == g.angles
+        gbar = induced_distance_closure(g)
+        assert gbar.edges == ((0, 1), (0, 2), (1, 2))
+        assert gbar.angles == ()
 
     def test_angle_support_with_no_edges(self):
         g = build_graph(3, angles=[(0, 1, 2)])
-        gp = induced_angle_support(g)
-        assert set(gp.edges) == {(0, 1), (0, 2), (1, 2)}
+        assert induced_distance_closure(g).edges == ((0, 1), (0, 2), (1, 2))
 
     def test_angle_support_no_angles_is_identity(self):
-        g = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
-        assert induced_angle_support(g).edges == g.edges
+        g = build_graph(3, edges=[(1, 2), (0, 1), (0, 2)])
+        assert induced_distance_closure(g) == g
 
     def test_angle_support_keeps_original_edge_order(self):
         g = build_graph(4, edges=[(2, 3), (0, 1)], angles=[(0, 2, 3)])
-        gp = induced_angle_support(g)
-        assert gp.edges[:2] == ((2, 3), (0, 1))
-        assert gp.edges[2:] == ((0, 2), (0, 3))  # new edges sorted
+        gbar = induced_distance_closure(g)
+        assert gbar.edges[:2] == ((2, 3), (0, 1))
+        assert gbar.edges[2:] == ((0, 2), (0, 3))  # new edges sorted
 
     def test_angle_support_superset(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             f = random_framework(rng)
-            gp = induced_angle_support(f.graph)
-            assert set(gp.edges) >= set(f.graph.edges)
+            gbar = induced_distance_closure(f.graph)
+            assert set(gbar.edges) >= set(f.graph.edges)
+            assert gbar.edges[:f.graph.m] == f.graph.edges
 
     def test_distance_closure_of_constrained_tetrahedron(self):
         g = build_graph(4, edges=[(0, 1), (0, 2), (0, 3)],

@@ -16,7 +16,7 @@ from weakrig import (
     WeakRigError,
     build_graph,
     classify_weak_rigidity_3d,
-    distance_rigidity_matrix,
+    weak_rigidity_matrix,
 )
 from weakrig.fileio import (
     dump_framework,
@@ -107,7 +107,7 @@ class TestFrameworkFiles:
             "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)],
         }))
         f = load_framework(str(path))
-        assert distance_rigidity_matrix(f).shape == (6, 12)
+        assert weak_rigidity_matrix(f).shape == (6, 12)
         assert classify_weak_rigidity_3d(f).rigid
         dim = framework_to_dict(f)["dim"]
         assert dim == 3 and type(dim) is int

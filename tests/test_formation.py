@@ -174,8 +174,11 @@ class TestSimulate:
         else:
             f = Framework(build_graph(3, edges=[(0, 1), (1, 2)], angles=[(0, 1, 2)]), 3, pos)
             t = TargetSpec(sq_distances=(((0, 1), 1.0), ((1, 2), 1.0)), cosines=(((0, 1, 2), 0.5),))
-        with pytest.raises(ValueError, match="is defined for dim 2"):
-            simulate(f, t, SimulationConfig(t_max=0.01))
+        for run in (lambda: simulate(f, t, SimulationConfig(t_max=0.01)),
+                    lambda: control_law(f, t),
+                    lambda: flow_jacobian(f, t)):
+            with pytest.raises(ValueError, match="^the gradient flow is defined for dim 2$"):
+                run()
 
     def test_already_converged(self, bench_targets):
         f = realize_canonical_targets(bench_targets)

@@ -21,11 +21,9 @@ from weakrig import (
     build_graph,
     canonical_three_agent_graph,
     control_law,
-    distance_rigidity_matrix,
     finite_difference_weak_rigidity_matrix,
     flow_jacobian,
     grow_random,
-    induced_distance_closure,
     simulate,
     weak_rigidity_function,
     weak_rigidity_matrix,
@@ -78,16 +76,6 @@ def loop_matrix(positions, g: Graph) -> np.ndarray:
         R[row, d * k:d * k + d] = -d_a - d_b
         R[row, d * i:d * i + d] = d_a + d_c
         R[row, d * j:d * j + d] = d_b - d_c
-    return R
-
-
-def loop_distance_matrix(positions, g: Graph) -> np.ndarray:
-    d = positions.shape[1]
-    R = np.zeros((g.m, d * g.n))
-    for u, (i, j) in enumerate(g.edges):
-        z = positions[i] - positions[j]
-        R[u, d * i:d * i + d] = z
-        R[u, d * j:d * j + d] = -z
     return R
 
 
@@ -214,17 +202,13 @@ class TestKernelAgainstLoops:
             R = loop_matrix(f.positions, f.graph)
             assert_close(got_vel.ravel(), -(R.T @ errs))
 
-    def test_distance_rigidity_matrix_2d(self, cases):
-        for f, _ in cases:
-            if f.graph.m:
-                assert_close(distance_rigidity_matrix(f), loop_distance_matrix(f.positions, f.graph))
-
-    def test_distance_rigidity_matrix_3d_closure(self):
+    def test_weak_rigidity_matrix_3d(self):
         rng = np.random.default_rng(4343)
         for f in grown_frameworks()[::3]:
-            closure = induced_distance_closure(f.graph)
-            lifted = Framework(closure, 3, random_positions(rng, f.graph.n, dim=3))
-            assert_close(distance_rigidity_matrix(lifted), loop_distance_matrix(lifted.positions, closure))
+            assert f.graph.m and f.graph.q
+            pos = random_positions(rng, f.graph.n, dim=3)
+            assert_close(weak_rigidity_matrix(Framework(f.graph, 3, pos)).matrix,
+                         loop_matrix(pos, f.graph))
 
     def test_cosines_clamped(self):
         # Collinear rays whose unclamped cosine rounds to 1 + 2**-52, and its mirror.

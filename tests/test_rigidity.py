@@ -1,4 +1,4 @@
-"""Weak rigidity matrix, rank classification, 3D reduction, minimality."""
+"""Weak rigidity matrix, rank classification in 2D and 3D, minimality."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from weakrig import (
     classify_infinitesimal_weak_rigidity,
     classify_weak_rigidity_3d,
     cosine_edge_partials,
-    distance_rigidity_matrix,
     finite_difference_weak_rigidity_matrix,
     grow_random,
     induced_distance_closure,
@@ -34,6 +33,11 @@ from conftest import (
     random_positions,
     rhombus_framework,
 )
+
+
+def lift(f: Framework, rng) -> Framework:
+    """``f``'s graph at random 3D positions."""
+    return Framework(f.graph, 3, random_positions(rng, f.graph.n, dim=3))
 
 
 def cosine_row_blocks(positions, triple=(0, 1, 2)):
@@ -138,6 +142,15 @@ class TestWeakRigidityMatrix:
             fd = finite_difference_weak_rigidity_matrix(f, step=1e-6)
             assert np.max(np.abs(analytic - fd)) < 1e-6
 
+    def test_matches_finite_differences_3d(self):
+        rng = np.random.default_rng(59)
+        for _ in range(25):
+            f = lift(random_framework(rng), rng)
+            analytic = weak_rigidity_matrix(f).matrix
+            assert analytic.shape == (f.graph.constraint_count, 3 * f.graph.n)
+            fd = finite_difference_weak_rigidity_matrix(f, step=1e-6)
+            assert np.max(np.abs(analytic - fd)) < 1e-6
+
 
 class TestNumericalRank:
     def test_zero_matrix(self):
@@ -224,105 +237,146 @@ class TestClassify2D:
             assert rank <= bound
 
 
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+TETRA_POS = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
+TRIANGLE_3D_POS = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
+
+
+def classical_distance_rank(f: Framework) -> int:
+    """Rank of the distance rigidity matrix, row ``z`` at ``i`` and ``-z`` at ``j`` per edge."""
+    d = f.dim
+    R = np.zeros((f.graph.m, d * f.graph.n))
+    for u, (i, j) in enumerate(f.graph.edges):
+        z = f.positions[i] - f.positions[j]
+        R[u, d * i:d * i + d], R[u, d * j:d * j + d] = z, -z
+    return numerical_rank(R)
+
+
 class TestDistanceRigidity3D:
     def test_single_edge_row(self):
         g = build_graph(2, edges=[(0, 1)])
         f = Framework(g, 3, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        R = distance_rigidity_matrix(f)
-        assert np.array_equal(R, [[-1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+        R = weak_rigidity_matrix(f).matrix
+        assert np.array_equal(R, [[-2.0, 0.0, 0.0, 2.0, 0.0, 0.0]])
 
     def test_k4_tetrahedron_rank(self):
-        g = build_graph(4, edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert numerical_rank(distance_rigidity_matrix(Framework(g, 3, pos))) == 6
+        f = Framework(build_graph(4, edges=K4_EDGES), 3, TETRA_POS)
+        assert numerical_rank(weak_rigidity_matrix(f).matrix) == 6
 
     def test_translations_annihilated(self):
         rng = np.random.default_rng(71)
         g = build_graph(4, edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
         f = Framework(g, 3, random_positions(rng, 4, dim=3))
-        R = distance_rigidity_matrix(f)
+        R = weak_rigidity_matrix(f).matrix
         for axis in range(3):
             t = np.zeros((4, 3))
             t[:, axis] = 1.0
             assert np.max(np.abs(R @ t.ravel())) < 1e-12
 
-    def test_empty_edges(self):
-        f = Framework(build_graph(3, angles=[(0, 1, 2)]), 3,
-                      np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]))
-        with pytest.raises(EmptyEdgeSet):
-            distance_rigidity_matrix(f)
-
 
 class TestClassify3D:
     def test_constrained_tetrahedron(self, tetra_mixed_3d):
-        assert set(induced_distance_closure(tetra_mixed_3d.graph).edges) == {
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-        }
+        assert set(induced_distance_closure(tetra_mixed_3d.graph).edges) == set(K4_EDGES)
         report = classify_weak_rigidity_3d(tetra_mixed_3d)
         assert report.rigid and report.rank == 6 and report.required_rank == 6
-        assert report.verdict == "weakly rigid"
+        assert report.verdict == "infinitesimally weakly rigid"
+        assert report == classify_infinitesimal_weak_rigidity(tetra_mixed_3d)
 
     def test_full_distance_k4(self):
-        g = build_graph(4, edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
-        assert classify_weak_rigidity_3d(Framework(g, 3, pos)).rigid
+        f = Framework(build_graph(4, edges=K4_EDGES), 3, TETRA_POS)
+        assert classify_weak_rigidity_3d(f).rigid
 
     def test_path_graph_fails(self):
         rng = np.random.default_rng(73)
         g = build_graph(4, edges=[(0, 1), (1, 2), (2, 3)])
         report = classify_weak_rigidity_3d(Framework(g, 3, random_positions(rng, 4, dim=3)))
         assert not report.rigid and report.rank < 6
-        assert "generic" in report.verdict
+        assert report.verdict == "not infinitesimally weakly rigid"
 
     def test_reduces_to_plain_test_without_angles(self):
         rng = np.random.default_rng(79)
         for _ in range(10):
-            pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
             m = int(rng.integers(1, 7))
-            edges = [pairs[t] for t in rng.choice(6, size=m, replace=False)]
+            edges = [K4_EDGES[t] for t in rng.choice(6, size=m, replace=False)]
             g = build_graph(4, edges=edges)
             f = Framework(g, 3, random_positions(rng, 4, dim=3))
             report = classify_weak_rigidity_3d(f)
-            assert report.rank == numerical_rank(distance_rigidity_matrix(f))
+            assert report.rank == classical_distance_rank(f)
+            assert report.rigid == (report.rank == 3 * 4 - 6)
 
     def test_no_constraints_at_all(self):
-        f = Framework(build_graph(3), 3, np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]))
+        f = Framework(build_graph(3), 3, TRIANGLE_3D_POS)
         with pytest.raises(EmptyEdgeSet):
             classify_weak_rigidity_3d(f)
+
+    def test_lone_angle_triangle_is_flexible(self):
+        # A ray tip slides along its ray without changing the angle: rank 1 of
+        # the 3n - 7 = 2 an edge-free framework needs.
+        f = Framework(build_graph(3, angles=[(0, 1, 2)]), 3, TRIANGLE_3D_POS)
+        report = classify_weak_rigidity_3d(f)
+        assert (report.rank, report.required_rank, report.rigid) == (1, 2, False)
+
+    def test_collinear_configuration_rejected(self):
+        pos = np.array([[0.0, 0, 0], [1.0, 1, 1], [2.5, 2.5, 2.5]])
+        f = Framework(build_graph(3, edges=[(0, 1), (1, 2), (0, 2)]), 3, pos)
+        with pytest.raises(DegenerateConfiguration, match="collinear"):
+            classify_infinitesimal_weak_rigidity(f)
+
+    def test_3d_name_rejects_a_2d_framework(self, triangle_k3):
+        with pytest.raises(ValueError, match="needs dim 3"):
+            classify_weak_rigidity_3d(triangle_k3)
+
+
+def closure_rank_is_full(f: Framework) -> bool:
+    """The former 3D test: rank ``3n - 6`` of the induced distance closure."""
+    closure = Framework(induced_distance_closure(f.graph), 3, f.positions)
+    return classical_distance_rank(closure) == 3 * f.graph.n - 6
+
+
+class TestDistanceClosureOracle:
+    def test_direct_rigid_implies_closure_rigid(self):
+        # Each angle's three support edges fix it, so the closure is at least
+        # as rigid as the framework; the lone-angle triangle shows the
+        # converse fails.
+        rng = np.random.default_rng(97)
+        verdicts = []
+        for _ in range(200):
+            f = lift(random_framework(rng), rng)
+            rigid = classify_infinitesimal_weak_rigidity(f).rigid
+            verdicts.append(rigid)
+            assert closure_rank_is_full(f) or not rigid
+        assert 0 < sum(verdicts) < len(verdicts)
+        lone = Framework(build_graph(3, angles=[(0, 1, 2)]), 3, TRIANGLE_3D_POS)
+        assert closure_rank_is_full(lone) and not classify_infinitesimal_weak_rigidity(lone).rigid
 
 
 def _reference_report(f: Framework, rel_tol: float = 1e-9) -> RigidityReport:
     """A classifier's report as built when the 2D and 3D tests had their own motions.
 
-    2D: the two translations, the ``[-y, x]`` column and, without edges, the
-    scaling column ``p``.  3D: the three translations and the ``np.cross``
-    fields about the axes, over the induced distance closure.  The residual is
-    the largest entry of the matrix times the unit-normed motion columns.
+    2D: the two translations and the ``[-y, x]`` column; 3D: the three
+    translations and the ``np.cross`` fields about the axes; in both, without
+    edges, the scaling column ``p``.  The residual is the largest entry of
+    ``R_W`` times the unit-normed motion columns.
     """
     n, p = f.graph.n, f.config()
+    R = weak_rigidity_matrix(f).matrix
     if f.dim == 2:
-        R = weak_rigidity_matrix(f).matrix
         rot = np.empty(2 * n)
         rot[0::2], rot[1::2] = -p[1::2], p[0::2]
         cols = [np.tile([1.0, 0.0], n), np.tile([0.0, 1.0], n), rot]
-        cols += [p] if f.graph.m == 0 else []
-        required = 2 * n - 3 if f.graph.m else 2 * n - 4
-        verdicts, note = ("infinitesimally weakly rigid", "not infinitesimally weakly rigid"), ""
     else:
-        R = distance_rigidity_matrix(Framework(induced_distance_closure(f.graph), 3, f.positions))
         axes = np.eye(3)
         cols = [np.tile(a, n) for a in axes] + [np.cross(a, f.positions).ravel() for a in axes]
-        required = 3 * n - 6
-        verdicts = ("weakly rigid", "not weakly rigid (generic)")
-        note = "negative verdict assumes a generic configuration"
+    cols += [p] if f.graph.m == 0 else []
     columns = np.column_stack(cols)
     residual = float(np.max(np.abs(R @ (columns / np.linalg.norm(columns, axis=0)))))
     rank = numerical_rank(R, rel_tol)
+    required = R.shape[1] - columns.shape[1]
     rigid = rank == required
     return RigidityReport(
         rank=rank, required_rank=required, rigid=rigid,
-        verdict=verdicts[0] if rigid else verdicts[1], null_space_dim=R.shape[1] - rank,
-        trivial_motion_residual=residual, tolerance_used=rel_tol, note="" if rigid else note)
+        verdict="infinitesimally weakly rigid" if rigid else "not infinitesimally weakly rigid",
+        null_space_dim=R.shape[1] - rank, trivial_motion_residual=residual, tolerance_used=rel_tol)
 
 
 def _report_oracle_cases(seed: Framework):
@@ -356,9 +410,9 @@ class TestReportOracle:
         reports += [classify_weak_rigidity_3d(f) for f in lifts]
         for f, report in zip(planar + lifts, reports):
             assert report.to_dict() == _reference_report(f).to_dict()
-        assert {r.verdict for r in reports} == {
-            "infinitesimally weakly rigid", "not infinitesimally weakly rigid",
-            "weakly rigid", "not weakly rigid (generic)"}
+        for batch in (reports[:len(planar)], reports[len(planar):]):
+            assert {r.verdict for r in batch} == {
+                "infinitesimally weakly rigid", "not infinitesimally weakly rigid"}
 
 
 class TestMinimality:
@@ -382,6 +436,13 @@ class TestMinimality:
         result = is_minimally_weakly_rigid(f)
         assert not result.minimal
         assert result.witness == ("cosine", (0, 1, 3))
+
+    def test_3d_k4_is_minimal_and_an_extra_angle_is_the_witness(self):
+        k4 = build_graph(4, edges=K4_EDGES)
+        assert is_minimally_weakly_rigid(Framework(k4, 3, TETRA_POS)).minimal
+        extra = Framework(Graph(4, k4.edges, ((0, 1, 2),)), 3, TETRA_POS)
+        result = is_minimally_weakly_rigid(extra)
+        assert not result.minimal and result.witness == ("cosine", (0, 1, 2))
 
     def test_not_rigid_reason(self):
         rng = np.random.default_rng(83)
