@@ -27,6 +27,7 @@ from .errors import (
     SelfLoop,
     TargetMismatch,
     WeakRigError,
+    WriteError,
     WrongTopology,
 )
 from .formation import (

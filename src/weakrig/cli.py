@@ -25,7 +25,7 @@ from .formation import (
     is_three_agent_topology,
     simulate,
 )
-from .henneberg import grow_random
+from .henneberg import MIN_ANGLE_DEG, grow_random
 from .rigidity import (
     classify_infinitesimal_weak_rigidity,
     finite_difference_weak_rigidity_matrix,
@@ -52,6 +52,14 @@ def _number(name, ok, requirement):
             raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {text}")
         return value
     return parse
+
+
+def _seed(text):
+    """An argparse type: a non-negative integer, as the RNG takes it."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be a non-negative integer, got {text}")
+    return value
 
 
 def _positive(name):
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grow", help="grow a minimally weakly rigid framework")
     p.add_argument("--n", type=int, required=True, help="target vertex count (>= 3)")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed")
+    p.add_argument("--seed", type=_seed, required=True, help="RNG seed (>= 0)")
     p.add_argument("--mix", type=_fraction("--mix"), default=0.5,
                    help="probability of a 0-extension per step (default 0.5); from the K3 "
                         "seed at most one 1-extension happens, so this only moves when it does")
@@ -183,7 +191,10 @@ def cmd_grow(args) -> int:
         fileio.write_growth_log(result.steps, args.log)
     g = final.graph
     print(f"grew to n={g.n} with {g.m} edges + {g.q} angles "
-          f"= {g.constraint_count} constraints (2n-3 = {2 * g.n - 3})", file=sys.stderr)
+          f"= {g.constraint_count} constraints (2n-3 = {2 * g.n - 3}); "
+          f"{sum(result.attempts)} attempts, rejected {result.unbuildable} unbuildable, "
+          f"{result.too_close} too close, {result.small_angle} under {MIN_ANGLE_DEG:g} deg, "
+          f"{result.not_minimal} not minimal", file=sys.stderr)
     return EXIT_OK
 
 

@@ -63,3 +63,7 @@ class PlacementExhausted(WeakRigError):
 
 class ParseError(WeakRigError):
     """An input file is malformed; the message carries a diagnostic."""
+
+
+class WriteError(WeakRigError):
+    """An output file cannot be written; the message names the path."""

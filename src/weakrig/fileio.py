@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .core import Framework, angle_key, build_graph, edge_key
-from .errors import ParseError, TargetMismatch, WeakRigError
+from .errors import ParseError, TargetMismatch, WeakRigError, WriteError
 from .formation import SimulationTrace, TargetSpec, align_targets
 from .rigidity import RigidityReport
 
@@ -28,18 +28,22 @@ def _default_file_mode() -> int:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically; an OSError becomes a WriteError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode a plain write would.
-        os.chmod(tmp, _default_file_mode())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            # mkstemp creates the file 0600; give it the mode a plain write would.
+            os.chmod(tmp, _default_file_mode())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_json(path: str) -> dict:

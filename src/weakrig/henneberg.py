@@ -7,8 +7,9 @@ removed edge).  Both operations add one vertex and a net of two
 constraints, preserving the count ``|E| + |A| = 2n - 3``.  An
 :class:`ExtensionStep` describes one such operation and
 :func:`apply_extension` builds it.  The random generator proposes steps,
-builds each one and keeps it only if the result passes the rank test,
-instead of trusting the construction unconditionally.
+builds each one and keeps it if the new vertex is placed well.  A
+0-extension of a minimal framework is then minimal by the extension
+theorem, so only a 1-extension also has to pass the rank test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Framework, build_graph, edge_key
+from .core import Framework, Graph, angle_key, edge_key
 from .errors import (
     BadAnchor,
     CollinearPlacement,
@@ -28,7 +29,7 @@ from .errors import (
     PlacementExhausted,
     SeedNotRigid,
 )
-from .rigidity import is_minimally_weakly_rigid, weak_rigidity_function
+from .rigidity import compile_graph, constraint_kernel, is_minimally_weakly_rigid
 
 MIN_ANGLE_DEG = 5.0
 MAX_ABS_COSINE = math.cos(math.radians(MIN_ANGLE_DEG))
@@ -37,6 +38,12 @@ MAX_PLACEMENT_ATTEMPTS = 1000
 
 KIND_0_EXTENSION = "0-extension"
 KIND_1_EXTENSION = "1-extension"
+
+# Why growth rejects a proposal; GrowthResult counts each under this name.
+UNBUILDABLE = "unbuildable"
+TOO_CLOSE = "too_close"
+SMALL_ANGLE = "small_angle"
+NOT_MINIMAL = "not_minimal"
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,19 @@ def _extend(f: Framework, i: int, j: int, pos, edges, witness_angles) -> Framewo
     """``f`` on ``edges``, plus a vertex at ``pos`` seen from ``i`` and ``j``.
 
     The new angles at ``i`` and ``j`` come first, then ``witness_angles``.
-    A point on the line through ``i`` and ``j`` raises CollinearPlacement.
+    ``f``'s constraints are already normalized and the anchors checked, so
+    only a witness angle is validated: one ``f`` has raises
+    DuplicateConstraint.  A point on the line through ``i`` and ``j``
+    raises CollinearPlacement.
     """
     nu = f.graph.n
     pos = np.asarray(pos, float)
-    angles = [*f.graph.angles, (i, j, nu), (j, i, nu), *witness_angles]
-    graph = build_graph(nu + 1, edges=edges, angles=angles)
+    witness = [angle_key(*w) for w in witness_angles]
+    for a in witness:
+        if a in f.graph.angles:
+            raise DuplicateConstraint(f"angle {a} appears more than once")
+    angles = (*f.graph.angles, (i, j, nu), (j, i, nu), *witness)
+    graph = Graph(n=nu + 1, edges=tuple(edges), angles=angles)
     extended = Framework(graph=graph, dim=2, positions=np.vstack([f.positions, pos]))
     a = f.positions[j] - f.positions[i]
     b = pos - f.positions[i]
@@ -132,10 +146,18 @@ class GrowthResult:
     """Seed plus every intermediate framework and the steps between them.
 
     ``apply_extension(frameworks[t], steps[t])`` gives ``frameworks[t + 1]``.
+    ``attempts[t]`` proposals were drawn for step ``t``; every one but the
+    last was rejected, and the other four fields count the rejections by
+    cause (the keys :func:`_rejection` returns, plus UNBUILDABLE).
     """
 
     frameworks: tuple[Framework, ...]
     steps: tuple[ExtensionStep, ...]
+    attempts: tuple[int, ...]
+    unbuildable: int
+    too_close: int
+    small_angle: int
+    not_minimal: int
 
     @property
     def final(self) -> Framework:
@@ -165,25 +187,46 @@ def _propose(f: Framework, rng: np.random.Generator, mix: float) -> ExtensionSte
                          ((i, j, nu), (j, i, nu), (k, i, j)), position, removed_edge=(i, j))
 
 
-def _acceptable(candidate: Framework, step: ExtensionStep) -> bool:
-    """The acceptance test of a built candidate.
+def _rejection(candidate: Framework, step: ExtensionStep) -> str | None:
+    """Why growth rejects a built candidate, or None to accept it.
 
-    The new vertex keeps ``MIN_SEPARATION_FRACTION`` of the parent's
-    diameter from every vertex, no new angle lies within ``MIN_ANGLE_DEG``
-    of 0 or 180 degrees, and the candidate is minimally weakly rigid.
+    TOO_CLOSE: the new vertex is nearer than ``MIN_SEPARATION_FRACTION``
+    of the parent's diameter to another vertex.  SMALL_ANGLE: a new angle
+    lies within ``MIN_ANGLE_DEG`` of 0 or 180 degrees; its cosine comes
+    from the new rows alone.  NOT_MINIMAL: a 1-extension fails
+    :func:`is_minimally_weakly_rigid`.
+
+    A 0-extension needs no rank test, by the extension theorem (Tay &
+    Whiteley, "Generating isostatic frameworks", 1985):
+
+    - The parent is minimal: :func:`grow_random` checks the seed, and every
+      later parent is a step it accepted.  So the parent's ``R_W`` has full
+      row rank, at its required rank.
+    - The two new cosine rows are the only rows that touch the new vertex
+      ``v``'s columns, so the new ``R_W`` is block lower-triangular.  It has
+      full row rank iff the 2x2 block ``B`` of the new rows at ``v`` is
+      nonsingular, and the required rank grows by exactly 2, with or
+      without edges.  Full row rank at the required rank leaves no row
+      removable; the edges are the parent's, so there is no lone edge.
+    - ``B`` is singular iff ``v`` lies on the line through its anchors
+      ``i`` and ``j``.  The 5 degree bound on the new cosine at ``i``
+      already rules that out, so no further tolerance is needed.
     """
     parent, new = candidate.positions[:-1], candidate.positions[-1]
     diameter = float(np.linalg.norm(parent.max(axis=0) - parent.min(axis=0)))
     if np.linalg.norm(parent - new, axis=1).min() < MIN_SEPARATION_FRACTION * diameter:
-        return False
-    new_cosines = weak_rigidity_function(candidate)[-len(step.added_angles):]
-    if np.abs(new_cosines).max() >= MAX_ABS_COSINE:
-        return False
-    return bool(is_minimally_weakly_rigid(candidate))
+        return TOO_CLOSE
+    # Compiled uncached: the cache keeps the graphs of whole frameworks.
+    rows = compile_graph.__wrapped__(Graph(candidate.n, angles=step.added_angles))
+    if np.abs(constraint_kernel(candidate.positions, rows)[0]).max() >= MAX_ABS_COSINE:
+        return SMALL_ANGLE
+    if step.kind == KIND_1_EXTENSION and not is_minimally_weakly_rigid(candidate):
+        return NOT_MINIMAL
+    return None
 
 
 def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float = 0.5) -> GrowthResult:
-    """Grow a minimally weakly rigid framework by random verified extensions.
+    """Grow a minimally weakly rigid framework by random extensions.
 
     ``mix`` is the probability of choosing a 0-extension; 1-extensions fall
     back to 0-extensions while fewer than three edges remain.  (Splitting
@@ -192,30 +235,39 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float
     must already reach rank 2n-4, so the surviving edge is removable.
     Splitting the last edge breaks the count balance outright.)  Each
     attempt builds a proposed step and keeps it if it passes the
-    placement bounds and the single-removal minimality test.  A proposal
-    that cannot be built (collinear or collocated, or re-adding an angle
-    the graph has) is rejected too.  A step that fails 1000 attempts
-    raises PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
+    placement bounds of :func:`_rejection`.  A 0-extension that does is
+    minimal by the extension theorem; a 1-extension must also pass the
+    single-removal minimality test.  A proposal that cannot be built
+    (collinear or collocated, or re-adding an angle the graph has) is
+    rejected too.  A step that fails 1000 attempts raises
+    PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
     """
     if not is_minimally_weakly_rigid(seed_framework):
         raise SeedNotRigid("growth seed must be minimally (weakly) rigid")
     rng = np.random.default_rng(rng_seed)
     frameworks = [seed_framework]
     log: list[ExtensionStep] = []
+    attempts: list[int] = []
+    rejected = dict.fromkeys((UNBUILDABLE, TOO_CLOSE, SMALL_ANGLE, NOT_MINIMAL), 0)
     for _ in range(steps):
         f = frameworks[-1]
-        for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
+        for attempt in range(1, MAX_PLACEMENT_ATTEMPTS + 1):
             step = _propose(f, rng, mix)
             try:
                 candidate = apply_extension(f, step)
             except (CollinearPlacement, CollocatedPoints, DuplicateConstraint):
+                rejected[UNBUILDABLE] += 1
                 continue
-            if _acceptable(candidate, step):
+            cause = _rejection(candidate, step)
+            if cause is None:
                 break
+            rejected[cause] += 1
         else:
             raise PlacementExhausted(
                 f"no acceptable extension after {MAX_PLACEMENT_ATTEMPTS} attempts at n={f.graph.n}"
             )
         frameworks.append(candidate)
         log.append(step)
-    return GrowthResult(frameworks=tuple(frameworks), steps=tuple(log))
+        attempts.append(attempt)
+    return GrowthResult(frameworks=tuple(frameworks), steps=tuple(log), attempts=tuple(attempts),
+                        **rejected)

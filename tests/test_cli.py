@@ -419,6 +419,33 @@ class TestNonFiniteOptions:
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["grow", "--n", "5", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """A path in a missing directory gives one error line that names it, no traceback."""
+
+    def assert_one_error_line(self, capsys, path):
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+
+    @pytest.mark.parametrize("option", ["--out", "--log"])
+    def test_grow(self, tmp_path, capsys, option):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["grow", "--n", "5", "--seed", "1", option, str(path)]) == 1
+        self.assert_one_error_line(capsys, path)
+
+    def test_simulate(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "trace.csv"
+        argv = ["simulate", bench_framework_file(tmp_path), "--targets",
+                bench_target_file(tmp_path), "--t-max", "0.01", "--out", str(path)]
+        assert main(argv) == 1
+        self.assert_one_error_line(capsys, path)
+
 
 class TestParserBuiltOnce:
     def test_later_calls_construct_no_parser(self, tmp_path, capsys, monkeypatch):

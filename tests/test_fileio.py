@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from weakrig import (
     Framework,
     ParseError,
     WeakRigError,
+    WriteError,
     build_graph,
     classify_weak_rigidity_3d,
     weak_rigidity_matrix,
@@ -208,6 +210,19 @@ class TestWrittenFileMode:
         finally:
             os.umask(previous)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestUnwritablePath:
+    def test_missing_directory_names_the_path(self, tmp_path, mixed_framework):
+        path = tmp_path / "missing" / "fw.json"
+        with pytest.raises(WriteError, match=re.escape(str(path))):
+            dump_framework(mixed_framework, str(path))
+
+    def test_directory_target_leaves_no_temporary_file(self, tmp_path, mixed_framework):
+        (tmp_path / "fw.json").mkdir()
+        with pytest.raises(WriteError, match="fw.json"):
+            dump_framework(mixed_framework, str(tmp_path / "fw.json"))
+        assert [p.name for p in tmp_path.iterdir()] == ["fw.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, reject, settings
+from hypothesis import strategies as st
 
 from weakrig import (
     BadAnchor,
@@ -30,7 +32,14 @@ from weakrig import (
 )
 
 from weakrig.fileio import framework_to_dict, growth_log_to_text
-from weakrig.henneberg import _acceptable
+from weakrig import henneberg
+from weakrig.henneberg import (
+    MAX_ABS_COSINE,
+    MIN_SEPARATION_FRACTION,
+    SMALL_ANGLE,
+    TOO_CLOSE,
+    _rejection,
+)
 
 from conftest import TRIANGLE_POS
 
@@ -212,7 +221,7 @@ class TestRejectionCauses:
         step = zero_step((0.1, 0.9), anchors=(0, 2))
         candidate = apply_extension(triangle_k3, step)
         assert is_minimally_weakly_rigid(candidate).minimal
-        assert not _acceptable(candidate, step)
+        assert _rejection(candidate, step) == TOO_CLOSE
 
     def test_angle_under_five_degrees(self, triangle_k3):
         # Seen from vertex 1, the new vertex is 1.4 degrees off vertex 2.
@@ -221,7 +230,7 @@ class TestRejectionCauses:
         assert math.degrees(math.acos(weak_rigidity_function(candidate)[-2])) < 5.0
         assert np.linalg.norm(candidate.positions[:3] - candidate.positions[3], axis=1).min() > 1.0
         assert is_minimally_weakly_rigid(candidate).minimal
-        assert not _acceptable(candidate, step)
+        assert _rejection(candidate, step) == SMALL_ANGLE
 
     def test_collinear(self, triangle_k3):
         with pytest.raises(CollinearPlacement):
@@ -229,10 +238,75 @@ class TestRejectionCauses:
 
     def test_acceptable_step(self, triangle_k3):
         step = zero_step(NEW_POS)
-        assert _acceptable(apply_extension(triangle_k3, step), step)
+        assert _rejection(apply_extension(triangle_k3, step), step) is None
 
     def test_duplicate_witness_angle(self):
         step = ExtensionStep("1-extension", 4, (0, 1, 3), ((0, 1, 4), (1, 0, 4), (3, 0, 1)),
                              (1.0, 1.0), removed_edge=(0, 1))
         with pytest.raises(DuplicateConstraint, match=r"angle \(3, 0, 1\)"):
             apply_extension(angle_seed(), step)
+
+
+def counted_minimality_checks(monkeypatch) -> list:
+    """Record every minimality test growth makes, by the framework tested."""
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return is_minimally_weakly_rigid(f, *args, **kwargs)
+
+    monkeypatch.setattr(henneberg, "is_minimally_weakly_rigid", counting)
+    return calls
+
+
+class TestTrustedZeroExtensions:
+    """A 0-extension is accepted by the extension theorem, not by a rank test."""
+
+    def test_attempts_add_up(self, triangle_k3):
+        result = grow_random(triangle_k3, steps=27, rng_seed=5, mix=0.5)
+        rejected = (result.unbuildable + result.too_close + result.small_angle
+                    + result.not_minimal)
+        assert len(result.attempts) == len(result.steps) == 27
+        assert min(result.attempts) >= 1
+        assert sum(result.attempts) == len(result.steps) + rejected
+        assert rejected > 0
+
+    @pytest.mark.parametrize("mix", [1.0, 0.0])
+    def test_rank_tests_only_the_seed_and_one_extensions(self, triangle_k3, monkeypatch, mix):
+        calls = counted_minimality_checks(monkeypatch)
+        result = grow_random(triangle_k3, steps=20, rng_seed=8, mix=mix)
+        ones = sum(s.kind == "1-extension" for s in result.steps)
+        assert ones == (0 if mix == 1.0 else 1)
+        # The seed, then each 1-extension that passed the placement bounds.
+        assert len(calls) == 1 + ones + result.not_minimal
+        assert calls[0] is triangle_k3
+        assert all(f.n > 3 for f in calls[1:])
+
+    # The triangle fixture is immutable, so sharing it across examples is safe.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        growth_seed=st.integers(0, 2**16),
+        steps=st.integers(0, 6),
+        anchors=st.tuples(st.integers(0, 99), st.integers(0, 98)),
+        unit=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+    )
+    def test_verdict_matches_the_rank_test(self, triangle_k3, growth_seed, steps, anchors, unit):
+        parent = grow_random(triangle_k3, steps=steps, rng_seed=growth_seed).final
+        n = parent.n
+        i = anchors[0] % n
+        j = [v for v in range(n) if v != i][anchors[1] % (n - 1)]
+        lo, hi = parent.positions.min(axis=0), parent.positions.max(axis=0)
+        pos = lo + np.asarray(unit) * (hi - lo)
+        step = ExtensionStep("0-extension", n, (i, j), ((i, j, n), (j, i, n)), tuple(pos))
+        diameter = float(np.linalg.norm(hi - lo))
+        assume(np.linalg.norm(parent.positions - pos, axis=1).min()
+               >= MIN_SEPARATION_FRACTION * diameter)
+        try:
+            candidate = apply_extension(parent, step)
+        except CollinearPlacement:
+            reject()
+        assume(np.abs(weak_rigidity_function(candidate)[-2:]).max() < MAX_ABS_COSINE)
+        oracle = is_minimally_weakly_rigid(candidate).minimal
+        assert (_rejection(candidate, step) is None) == oracle
+        assert oracle
