@@ -47,8 +47,12 @@ K3_SEED_POSITIONS = [[-1.732, 0.0], [0.0, 1.0], [0.0, -1.0]]
 def _number(name, ok, requirement):
     """An argparse type: a finite float for which ``ok`` holds."""
     def parse(text):
-        value = float(text)
-        if not (math.isfinite(value) and ok(value)):
+        try:
+            value = float(text)
+            valid = math.isfinite(value) and ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
             raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {text}")
         return value
     return parse
@@ -56,8 +60,12 @@ def _number(name, ok, requirement):
 
 def _seed(text):
     """An argparse type: a non-negative integer, as the RNG takes it."""
-    value = int(text)
-    if value < 0:
+    try:
+        value = int(text)
+        valid = value >= 0
+    except ValueError:
+        valid = False
+    if not valid:
         raise argparse.ArgumentTypeError(f"--seed must be a non-negative integer, got {text}")
     return value
 

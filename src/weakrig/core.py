@@ -164,6 +164,8 @@ class Framework:
             raise ValueError(
                 f"positions must have shape ({self.graph.n}, {self.dim}), got {pos.shape}"
             )
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         if collocated(pos):
             raise CollocatedPoints("two vertex positions coincide")
         pos.setflags(write=False)

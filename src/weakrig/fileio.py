@@ -57,7 +57,8 @@ def _load_json(path: str) -> dict:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # Exact types first: the ABC check is the slow path, and bool is an int.
+    return type(v) in (float, int) or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
 def _is_finite(v) -> bool:
@@ -87,6 +88,8 @@ def _entries(data: dict, key: str, where: str) -> list:
 def _indices(entry, where: str) -> tuple[int, ...]:
     """Vertex indices of a parsed entry; integral floats such as ``1.0`` pass."""
     for v in entry:
+        if type(v) is int:
+            continue
         if not _is_number(v) or not (isinstance(v, numbers.Integral) or float(v).is_integer()):
             raise ParseError(f"{where} has a non-integer vertex index {v!r}")
     return tuple(int(v) for v in entry)

@@ -181,7 +181,7 @@ def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = 1e-6) -> np.ndar
     """
     _check_cover(f, t)
     cg, tv = _compile_for_flow(f), t.values()
-    return central_differences(lambda p: constraint_kernel(p, cg, tv)[2].ravel(), f.positions, fd_step)
+    return central_differences(lambda p: constraint_kernel(p, cg, tv)[2], f.positions, fd_step)
 
 
 def collinearity_tolerance(f: Framework) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Framework, Graph, collocated
+from .core import Framework, Graph, collocated, collocation_tolerance, min_separation
 from .errors import CollocatedPoints, DegenerateConfiguration, EmptyEdgeSet
 
 DEFAULT_RANK_TOL = 1e-9
@@ -58,11 +58,13 @@ def cosine_edge_partials(za, zb, zc):
 class CompiledGraph:
     """A constraint graph as index arrays for :func:`constraint_kernel`.
 
-    Constraint vectors are ``p[tails] - p[heads]``: the edge vectors
-    ``p_i - p_j``, then the rays ``p_i - p_k``, then the rays ``p_j - p_k``
-    of the angles ``(k, i, j)``.  The nonzero blocks of ``R_W`` sit in rows
-    ``block_rows`` at flat columns ``block_cols``: edge rows at ``i``, at
-    ``j``, then angle rows at ``k``, at ``i``, at ``j``.
+    Constraint vectors are ``p[tails] - p[heads]``, indexing the vertex
+    axis: the edge vectors ``p_i - p_j``, then the rays ``p_i - p_k``, then
+    the rays ``p_j - p_k`` of the angles ``(k, i, j)``.  The nonzero blocks
+    of ``R_W`` sit in rows ``block_rows`` at flat columns ``block_cols`` of
+    one configuration, i.e. at ``block_entries`` of the raveled ``R_W``:
+    edge rows at ``i``, at ``j``, then angle rows at ``k``, at ``i``, at
+    ``j``.
     """
 
     graph: Graph
@@ -70,6 +72,7 @@ class CompiledGraph:
     heads: np.ndarray = field(repr=False)
     block_rows: np.ndarray = field(repr=False)
     block_cols: np.ndarray = field(repr=False)
+    block_entries: np.ndarray = field(repr=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,42 +91,50 @@ def compile_graph(g: Graph, dim: int = 2) -> CompiledGraph:
     block_rows = np.concatenate([edge_rows, edge_rows, angle_rows, angle_rows, angle_rows])
     block_cols = np.concatenate([ei, ej, k, i, j])[:, None] * dim + np.arange(dim)
     return CompiledGraph(g, np.concatenate([ei, i, j]), np.concatenate([ej, k, k]),
-                         block_rows, block_cols)
+                         block_rows, block_cols, block_rows[:, None] * (g.n * dim) + block_cols)
 
 
 def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=False):
     """Constraint values at ``positions`` and, on request, ``R_W`` and ``R_W^T e``.
 
-    Returns ``(values, R, grad)``: squared edge lengths then cosines clamped
-    to [-1, 1]; the dense Jacobian of the unclamped values if ``matrix``;
-    ``R_W^T (values - target_values)`` as an ``(n, dim)`` array, summed per
-    vertex in block order, if targets are given.  Parts not asked for are
-    None.  The positions are trusted: collocation is checked where a
-    configuration is made (:class:`Framework`, :func:`central_differences`),
-    and the flow tests each state it records.
+    ``positions`` is one ``(n, dim)`` configuration or a stack of them,
+    ``(..., n, dim)``; every result then carries the same leading axes, and
+    each configuration's entries equal, bit for bit, those of a call on it
+    alone.  Returns ``(values, R, grad)``: squared edge lengths then cosines
+    clamped to [-1, 1]; the dense Jacobian of the unclamped values if
+    ``matrix``; ``R_W^T (values - target_values)`` shaped like
+    ``positions``, summed per vertex in block order, if targets are given.
+    Parts not asked for are None.  The positions are trusted: collocation
+    is checked where a configuration is made (:class:`Framework`,
+    :func:`central_differences`), and the flow tests each state it records.
     """
     m, q = cg.graph.m, cg.graph.q
-    z = positions.take(cg.tails, axis=0) - positions.take(cg.heads, axis=0)
-    sq = (z * z).sum(axis=1)
-    za, zb = z[m:m + q], z[m + q:]
-    na2, nb2 = sq[m:m + q], sq[m + q:]
+    z = positions.take(cg.tails, axis=-2) - positions.take(cg.heads, axis=-2)
+    sq = (z * z).sum(axis=-1)
+    za, zb = z[..., m:m + q, :], z[..., m + q:, :]
+    na2, nb2 = sq[..., m:m + q], sq[..., m + q:]
     inv = 1.0 / np.sqrt(na2 * nb2)
-    cos = (za * zb).sum(axis=1) * inv
-    values = np.concatenate([sq[:m], np.clip(cos, -1.0, 1.0)])
+    cos = (za * zb).sum(axis=-1) * inv
+    values = sq[..., :m + q].copy()  # the edges' squared lengths, then room for the cosines
+    np.clip(cos, -1.0, 1.0, out=values[..., m:])
     if not matrix and target_values is None:
         return values, None, None
-    inv, cos = inv[:, None], cos[:, None]
-    g_i = zb * inv - za * cos / na2[:, None]  # gradient of the cosine at ray tip i
-    g_j = za * inv - zb * cos / nb2[:, None]
-    edge = 2.0 * z[:m]
-    blocks = np.concatenate([edge, -edge, -(g_i + g_j), g_i, g_j])
+    inv, cos = inv[..., None], cos[..., None]
+    g_i = zb * inv - za * cos / na2[..., None]  # gradient of the cosine at ray tip i
+    g_j = za * inv - zb * cos / nb2[..., None]
+    edge = 2.0 * z[..., :m, :]
+    blocks = np.concatenate([edge, -edge, -(g_i + g_j), g_i, g_j], axis=-2)
+    lead, size = positions.shape[:-2], positions.shape[-2] * positions.shape[-1]
     R = grad = None
     if matrix:
-        R = np.zeros((m + q, positions.size))
-        R[cg.block_rows[:, None], cg.block_cols] = blocks
+        R = np.zeros(lead + (m + q, size))
+        R.reshape(lead + (-1,))[..., cg.block_entries] = blocks
     if target_values is not None:
-        weights = blocks * (values - target_values)[cg.block_rows, None]
-        grad = np.bincount(cg.block_cols.ravel(), weights.ravel(), minlength=positions.size)
+        weights = blocks * (values - target_values).take(cg.block_rows, axis=-1)[..., None]
+        cols = cg.block_cols
+        if lead:  # one run of bins per configuration
+            cols = cols + np.arange(0, positions.size, size).reshape(lead + (1, 1))
+        grad = np.bincount(cols.ravel(), weights.ravel(), minlength=positions.size)
         grad = grad.reshape(positions.shape)
     return values, R, grad
 
@@ -162,17 +173,27 @@ def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
 def central_differences(func, positions: np.ndarray, step: float) -> np.ndarray:
     """Jacobian of ``func`` by central differences in each stacked coordinate.
 
-    Every perturbed configuration gets the collocation check a framework
-    gets, so a step that merges two points raises CollocatedPoints.
+    ``func`` maps a ``(B, n, d)`` stack of configurations to one array of
+    values per configuration.  It is called once, on the ``2 n d``
+    configurations stepped by ``+step`` in one coordinate each, then by
+    ``-step``.  A stepped configuration that merges two points raises
+    CollocatedPoints, as a framework does.  A step moves every pairwise
+    distance and ``max|p|`` by at most ``step``, so points more than twice
+    ``step`` plus the largest tolerance a stepped configuration can have
+    apart clear every step at once; only closer points are tested step by
+    step.  The factor two leaves room for rounding.
     """
-    def at(x):
-        p = x.reshape(positions.shape)
-        if collocated(p):
-            raise CollocatedPoints("two vertex positions coincide")
-        return func(p)
-
+    size = positions.size
+    steps = np.eye(size) * step
     x = positions.ravel()
-    return np.column_stack([(at(x + h) - at(x - h)) / (2.0 * step) for h in np.eye(x.size) * step])
+    stack = np.concatenate([x + steps, x - steps]).reshape((2 * size,) + positions.shape)
+    reach = step + collocation_tolerance(np.abs(positions) + step)
+    if not min_separation(positions) > 2.0 * reach:
+        for p in stack:
+            if collocated(p):
+                raise CollocatedPoints("two vertex positions coincide")
+    rows = func(stack).reshape(2 * size, -1)
+    return ((rows[:size] - rows[size:]) / (2.0 * step)).T
 
 
 def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> np.ndarray:

@@ -419,6 +419,23 @@ class TestNonFiniteOptions:
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "fw.json", "--tol", "abc"],
+        ["simulate", "fw.json", "--targets", "t.json", "--dt", "abc"],
+        ["simulate", "fw.json", "--targets", "t.json", "--t-max", "abc"],
+        ["simulate", "fw.json", "--targets", "t.json", "--eps", "abc"],
+        ["grow", "--n", "5", "--mix", "abc"],
+        ["check-gradient", "fw.json", "--fd-step", "abc"],
+        ["grow", "--n", "5", "--seed", "abc"],
+    ], ids=lambda argv: argv[-2])
+    def test_non_numeric_value_names_the_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-2]} must be " in err and err.rstrip().endswith("got abc")
+        assert "_seed" not in err and "parse" not in err
+
     def test_negative_seed_names_the_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["grow", "--n", "5", "--seed", "-1"])

@@ -20,6 +20,7 @@ from weakrig import (
     induced_distance_closure,
     weak_rigidity_function,
     weak_rigidity_matrix,
+    weakly_rigid_0_extension,
 )
 from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance, edge_key,
                           min_separation, stable_norm)
@@ -203,6 +204,19 @@ class TestFramework:
             Framework(build_graph(3), 2, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             Framework(build_graph(3), 5, np.zeros((3, 5)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_positions_rejected(self, bad):
+        k3 = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            Framework(k3.graph, 2, [[bad, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        moved = TRIANGLE_POS.copy()
+        moved[1, 1] = bad
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            k3.with_positions(moved)
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            weakly_rigid_0_extension(k3, 1, 2, (bad, 0.0))
 
 
 class TestMinSeparation:

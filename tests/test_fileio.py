@@ -91,6 +91,17 @@ class TestFrameworkFiles:
         assert f.graph.edges == ((0, 1),) and f.graph.angles == ((2, 0, 1),)
         assert all(type(v) is int for v in f.graph.edges[0] + f.graph.angles[0])
 
+    def test_numpy_scalars_accepted_and_bools_rejected(self):
+        # Plain ints and floats take a fast path; numpy scalars still pass.
+        f = framework_from_dict({"dim": 2, "positions": [[np.float64(0), np.int64(0)], [1, 0], [0, 1]],
+                                 "edges": [[np.int64(0), np.float64(1.0)]], "angles": [[2, 0, 1.0]]})
+        assert f.graph.edges == ((0, 1),) and f.graph.angles == ((2, 0, 1),)
+        with pytest.raises(ParseError, match=r"positions\[1\] must be a list of 2 numbers"):
+            framework_from_dict({"dim": 2, "positions": [[0, 0], [True, 0], [0, 1]]})
+        with pytest.raises(ParseError, match=r"angles\[0\] has a non-integer vertex index"):
+            framework_from_dict({"dim": 2, "positions": [[0, 0], [1, 0], [0, 1]],
+                                 "angles": [[True, 0, 2]]})
+
     @pytest.mark.parametrize("key", ["edges", "angles"])
     @pytest.mark.parametrize("value", [3, None, "01", {}], ids=["int", "null", "string", "object"])
     def test_non_list_field_names_the_key(self, key, value):

@@ -1,7 +1,8 @@
 """The constraint kernel against per-row reference loops, and RK4 bookkeeping.
 
 The reference loops below are the per-constraint implementations the
-kernel replaced: one Python iteration per edge and per angle.  They are
+kernel replaced: one Python iteration per edge and per angle, and one
+kernel call per stepped configuration for central differences.  They are
 kept here as oracles only.
 """
 
@@ -29,8 +30,9 @@ from weakrig import (
     weak_rigidity_matrix,
 )
 from weakrig import formation, rigidity
+from weakrig.core import collocated
 from weakrig.formation import _rhs_generic
-from weakrig.rigidity import compile_graph
+from weakrig.rigidity import compile_graph, constraint_kernel
 
 from conftest import BENCH_TARGETS, TRIANGLE_POS, random_positions
 
@@ -119,6 +121,18 @@ def loop_simulate(positions, g: Graph, target_values, dt: float, steps: int):
         states.append(p)
         errs.append(loop_rhs(p, g, target_values)[1])
     return np.array(states), np.array(errs)
+
+
+def loop_central_differences(func, positions, step: float) -> np.ndarray:
+    """One gated ``func`` call per configuration stepped by ``+step``, then ``-step``."""
+    def at(x):
+        p = x.reshape(positions.shape)
+        if collocated(p):
+            raise CollocatedPoints("two vertex positions coincide")
+        return func(p)
+
+    x = positions.ravel()
+    return np.column_stack([(at(x + h) - at(x - h)) / (2.0 * step) for h in np.eye(x.size) * step])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +244,101 @@ class TestKernelAgainstLoops:
         assert compile_graph(g) is compile_graph(same)
 
 
+def perturbed_stack(positions, lead, rng):
+    """``positions`` plus small independent perturbations, stacked over ``lead`` axes."""
+    scale = 1e-2 * (1.0 + np.abs(positions).max())
+    return positions + scale * rng.normal(size=lead + positions.shape)
+
+
+class TestStackedKernel:
+    """A stack of configurations gives, bit for bit, what each gives alone."""
+
+    @staticmethod
+    def assert_matches_single_calls(stack, cg, tv):
+        lead = stack.shape[:-2]
+        for matrix, targets in ((False, None), (True, None), (False, tv), (True, tv)):
+            got = constraint_kernel(stack, cg, targets, matrix)
+            for idx in np.ndindex(lead):
+                want = constraint_kernel(np.array(stack[idx]), cg, targets, matrix)
+                for part, single in zip(got, want):
+                    if single is None:
+                        assert part is None
+                    else:
+                        assert part.shape == lead + single.shape
+                        assert np.array_equal(part[idx], single)
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (3, 4)], ids=["B1", "B", "B1xB2"])
+    def test_grown_2d(self, cases, lead):
+        rng = np.random.default_rng(4545)
+        for f, tv in cases[::5]:
+            stack = perturbed_stack(f.positions, lead, rng)
+            self.assert_matches_single_calls(stack, compile_graph(f.graph), tv)
+
+    @pytest.mark.parametrize("lead", [(5,), (3, 4)], ids=["B", "B1xB2"])
+    def test_3d(self, lead):
+        rng = np.random.default_rng(4646)
+        for f in grown_frameworks()[::4]:
+            f3 = Framework(f.graph, 3, random_positions(rng, f.graph.n, dim=3))
+            tv = off_target_values(f3, rng)
+            stack = perturbed_stack(f3.positions, lead, rng)
+            self.assert_matches_single_calls(stack, compile_graph(f.graph, 3), tv)
+
+    def test_no_constraints(self):
+        stack = np.stack([TRIANGLE_POS, TRIANGLE_POS + 1.0])
+        values, R, grad = constraint_kernel(stack, compile_graph(build_graph(3)), np.zeros(0), True)
+        assert values.shape == (2, 0) and R.shape == (2, 0, 6)
+        assert np.array_equal(grad, np.zeros((2, 3, 2)))
+
+
+class TestCentralDifferencesAgainstLoop:
+    def test_weak_rigidity_matrix(self, cases):
+        for f, _ in cases[::3]:
+            cg = compile_graph(f.graph)
+            want = loop_central_differences(lambda p: constraint_kernel(p, cg)[0], f.positions, 1e-6)
+            assert np.array_equal(finite_difference_weak_rigidity_matrix(f), want)
+
+    def test_weak_rigidity_matrix_3d(self):
+        rng = np.random.default_rng(4747)
+        for f in grown_frameworks()[::4]:
+            f3 = Framework(f.graph, 3, random_positions(rng, f.graph.n, dim=3))
+            cg = compile_graph(f.graph, 3)
+            want = loop_central_differences(lambda p: constraint_kernel(p, cg)[0], f3.positions, 1e-5)
+            assert np.array_equal(finite_difference_weak_rigidity_matrix(f3, step=1e-5), want)
+
+    def test_flow_jacobian(self, cases):
+        for f, tv in cases[::3]:
+            t = target_spec(f.graph, tv)
+            cg, values = compile_graph(f.graph), t.values()
+            want = loop_central_differences(
+                lambda p: constraint_kernel(p, cg, values)[2].ravel(), f.positions, 1e-6)
+            assert np.array_equal(flow_jacobian(f, t), want)
+
+
+class TestOneKernelCallPerJacobian:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return constraint_kernel(*args, **kwargs)
+
+        # flow_jacobian reaches the kernel through formation's name for it.
+        monkeypatch.setattr(rigidity, "constraint_kernel", counted)
+        monkeypatch.setattr(formation, "constraint_kernel", counted)
+        return calls
+
+    def test_finite_difference_weak_rigidity_matrix(self, cases, kernel_calls):
+        f = next(f for f, _ in cases if f.graph.n == 12)
+        finite_difference_weak_rigidity_matrix(f)
+        assert kernel_calls == [(48, 12, 2)]
+
+    def test_flow_jacobian(self, kernel_calls):
+        f = Framework(canonical_three_agent_graph(), 2, TRIANGLE_POS)
+        flow_jacobian(f, target_spec(f.graph, np.array(BENCH_TARGETS)))
+        assert kernel_calls == [(12, 3, 2)]
+
+
 class TestGenericTraceAgainstLoops:
     def test_traces_match(self, cases):
         rng = np.random.default_rng(4444)
@@ -307,3 +416,43 @@ class TestCollocationChecks:
         t = target_spec(f.graph, np.array(BENCH_TARGETS))
         with pytest.raises(CollocatedPoints, match="coincide"):
             flow_jacobian(f, t, fd_step=1e-6)
+
+    @pytest.fixture
+    def gate_results(self, monkeypatch):
+        results = []
+
+        def recorded(p):
+            results.append(collocated(p))
+            return results[-1]
+
+        monkeypatch.setattr(rigidity, "collocated", recorded)
+        return results
+
+    def test_well_separated_points_skip_the_per_step_test(self, gate_results):
+        f = Framework(canonical_three_agent_graph(), 2, TRIANGLE_POS)
+        finite_difference_weak_rigidity_matrix(f, step=1e-6)
+        assert gate_results == []
+
+    def test_close_points_are_tested_step_by_step(self, gate_results):
+        # 1.5 steps apart: too close for the separation bound, yet no step
+        # brings the two points within the collocation tolerance.
+        close = np.array([[0.0, 0.0], [1.5e-6, 0.0], [0.0, 1.0]])
+        f = Framework(canonical_three_agent_graph(), 2, close)
+        cg = compile_graph(f.graph)
+        want = loop_central_differences(lambda p: constraint_kernel(p, cg)[0], close, 1e-6)
+        assert np.array_equal(finite_difference_weak_rigidity_matrix(f, step=1e-6), want)
+        assert gate_results == [False] * 12
+
+    def test_one_colliding_step_raises(self, gate_results):
+        # Stepping vertex 2 down by 1e5 leaves it 9.5e-4 from vertex 1, under
+        # that configuration's tolerance 1e-9 * (1 + 1e6).  The mirror step,
+        # vertex 1 up, gives the same gap, but its largest coordinate is 9e5,
+        # so its tolerance is 9.0e-4 and it is not collocated.  The colliding
+        # step is the last of the twelve.
+        pos = np.array([[1.0, 0.0], [0.0, -1e6], [0.0, -1e6 + 1e5 + 9.5e-4]])
+        f = Framework(canonical_three_agent_graph(), 2, pos)
+        with pytest.raises(CollocatedPoints, match="coincide"):
+            finite_difference_weak_rigidity_matrix(f, step=1e5)
+        assert gate_results == [False] * 11 + [True]
+        with pytest.raises(CollocatedPoints, match="coincide"):
+            loop_central_differences(lambda p: p, pos, 1e5)
