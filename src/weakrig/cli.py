@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .core import Framework, build_graph, stable_norm
+from .core import Framework, build_graph, min_separation, stable_norm
 from .errors import WeakRigError
 from .formation import (
     SimulationConfig,
@@ -114,9 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the final framework JSON here")
     p.add_argument("--log", help="write the growth log (one JSON step per line) here")
 
-    p = sub.add_parser("check-gradient", help="compare the analytic matrix to finite differences")
+    p = sub.add_parser("check-gradient", help="compare the analytic matrix to finite differences",
+                       description="Compare R_W to central differences on the framework centred "
+                                   "on its centroid, in a unit of sqrt(RMS radius x closest-pair "
+                                   "distance); passes when max |analytic - finite difference| "
+                                   "< 1e-6 in that unit.")
     p.add_argument("framework", help="framework JSON file")
-    p.add_argument("--fd-step", type=_positive("--fd-step"), default=1e-6)
+    p.add_argument("--fd-step", type=_positive("--fd-step"), default=1e-6,
+                   help="finite-difference step, in the unit above (default 1e-6)")
 
     return parser
 
@@ -208,6 +213,15 @@ def cmd_grow(args) -> int:
 
 def cmd_check_gradient(args) -> int:
     f = fileio.load_framework(args.framework)
+    # A fixed step and threshold mean the same in every unit and frame only on
+    # a normalized copy.  Rounding in the distance rows grows like
+    # (length / unit)^2 and truncation in the cosine rows like (unit / ray)^3,
+    # so the unit is the geometric mean of the spread and the closest pair.
+    p = f.positions - f.positions.mean(axis=0)
+    if f.n > 1:
+        radius = math.sqrt(float(np.mean(np.add.reduce(p * p, axis=1))))
+        p = p / math.sqrt(radius * min_separation(p))
+    f = f.with_positions(p)
     analytic = weak_rigidity_matrix(f).matrix
     fd = finite_difference_weak_rigidity_matrix(f, step=args.fd_step)
     deviation = float(np.max(np.abs(analytic - fd))) if analytic.size else 0.0

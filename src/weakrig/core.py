@@ -8,6 +8,7 @@ or 3D configuration to the graph.  Vertices are 0-based everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,16 +120,21 @@ def collocation_tolerance(positions: np.ndarray) -> float:
     return COLLOCATION_REL_TOL * (1.0 + float(np.abs(positions).max(initial=0.0)))
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of every pair ``i < j`` of ``n`` points."""
+    return np.triu_indices(n, 1)
+
+
 def min_separation(positions: np.ndarray) -> float:
     """Smallest pairwise distance between the given points (``inf`` for one point)."""
     positions = np.asarray(positions, float)
     n = positions.shape[0]
     if n < 2:
         return math.inf
-    diff = positions[:, None, :] - positions[None, :, :]
-    sq = (diff * diff).sum(axis=-1)
-    sq.flat[:: n + 1] = math.inf  # a point's distance to itself
-    return math.sqrt(sq.min())
+    i, j = _pairs(n)
+    diff = positions[i] - positions[j]
+    return math.sqrt(np.add.reduce(diff * diff, axis=-1).min())
 
 
 def stable_norm(a: np.ndarray, axis: int | None = None):

@@ -10,7 +10,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 
 import numpy as np
 
@@ -20,23 +19,28 @@ from .formation import SimulationTrace, TargetSpec, align_targets
 from .rigidity import RigidityReport
 
 
-def _default_file_mode() -> int:
-    """Mode ``open()`` would give a new file: ``0o666`` less the umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
+def _create_temporary(directory: str) -> tuple[int, str]:
+    """Open a new ``.tmp-...~`` file in ``directory`` for writing.
+
+    Created ``0o666`` less the umask, as ``open()`` creates a file: the
+    kernel applies the umask, so the process's umask is never touched.
+    """
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically; an OSError becomes a WriteError."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd, tmp = _create_temporary(directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            # mkstemp creates the file 0600; give it the mode a plain write would.
-            os.chmod(tmp, _default_file_mode())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -344,10 +344,13 @@ def _rhs_canonical(x, d1s, d2s, cs):
     ], (e1, e2, ec)
 
 
-def _collocated_three(x) -> bool:
-    """:func:`core.collocated` for three agents, in scalar arithmetic on the six coordinates."""
+def _collocated_three(x, big: float) -> bool:
+    """:func:`core.collocated` for three agents, in scalar arithmetic on the six coordinates.
+
+    ``big`` is ``max|x|``, which the RK4 loop has already computed.
+    """
     x0, y0, x1, y1, x2, y2 = x
-    tol = COLLOCATION_REL_TOL * (1.0 + max(map(abs, x)))
+    tol = COLLOCATION_REL_TOL * (1.0 + big)
     return min(math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2),
                math.hypot(x1 - x2, y1 - y2)) < tol
 
@@ -369,8 +372,9 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
     Every accepted state is recorded as a list of floats with its errors
     ``e``; the velocity evaluated there is the next step's ``k1``, so a step
     costs four ``rhs`` calls.  A recorded state ends the run, tested in this
-    order, when ``degenerate(p)`` (agents collocated), when a coordinate
-    exceeds ``divergence_bound`` (not tested on the initial state), or when
+    order, when ``degenerate(p, big)`` (agents collocated; ``big`` is the
+    state's ``max|x|``, computed once per state), when a coordinate exceeds
+    ``divergence_bound`` (not tested on the initial state), or when
     ``||e|| < convergence_eps``; otherwise the run stops at ``t_max``.
     Returns ``(times, states, errors, status)``.
     """
@@ -396,9 +400,10 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
         times.append(t)
         states.append(x)
         errs.append(e)
-        if degenerate(p):
+        big = max(map(abs, x))
+        if degenerate(p, big):
             status = "degenerate"
-        elif k and max(map(abs, x)) > cfg.divergence_bound:
+        elif k and big > cfg.divergence_bound:
             status = "diverged"
         elif math.hypot(*e) < cfg.convergence_eps:
             status = "converged"
@@ -463,7 +468,7 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
             vel, e = _rhs_generic(x.reshape(shape), cg, tv)
             return vel.ravel(), e
 
-        def degenerate(x):
+        def degenerate(x, big):
             return collocated(x.reshape(shape))
 
     return _trace(*_rk4(p0, rhs, degenerate, cfg), canonical)

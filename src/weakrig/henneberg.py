@@ -45,6 +45,13 @@ TOO_CLOSE = "too_close"
 SMALL_ANGLE = "small_angle"
 NOT_MINIMAL = "not_minimal"
 
+# The new angles of a step on the points it touches, (i, j, v), or (i, j, v, k)
+# for a 1-extension; compiled uncached: the cache keeps the graphs of whole frameworks.
+_NEW_ANGLES = {
+    KIND_0_EXTENSION: compile_graph.__wrapped__(Graph(3, angles=((0, 1, 2), (1, 0, 2)))),
+    KIND_1_EXTENSION: compile_graph.__wrapped__(Graph(4, angles=((0, 1, 2), (1, 0, 2), (3, 0, 1)))),
+}
+
 
 @dataclass(frozen=True)
 class ExtensionStep:
@@ -96,7 +103,7 @@ def _extend(f: Framework, i: int, j: int, pos, edges, witness_angles) -> Framewo
             raise DuplicateConstraint(f"angle {a} appears more than once")
     angles = (*f.graph.angles, (i, j, nu), (j, i, nu), *witness)
     graph = Graph(n=nu + 1, edges=tuple(edges), angles=angles)
-    extended = Framework(graph=graph, dim=2, positions=np.vstack([f.positions, pos]))
+    extended = Framework(graph=graph, dim=2, positions=np.concatenate([f.positions, pos[None]]))
     a = f.positions[j] - f.positions[i]
     b = pos - f.positions[i]
     cross = abs(float(a[0] * b[1] - a[1] * b[0]))
@@ -164,16 +171,22 @@ class GrowthResult:
         return self.frameworks[-1]
 
 
-def _propose(f: Framework, rng: np.random.Generator, mix: float) -> ExtensionStep:
+def _box(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Corners of the bounding box of ``positions`` and its diagonal, the diameter."""
+    lo = positions.min(axis=0)
+    hi = positions.max(axis=0)
+    return lo, hi, float(np.linalg.norm(hi - lo))
+
+
+def _propose(f: Framework, rng: np.random.Generator, mix: float, box) -> ExtensionStep:
     """Draw a random extension of ``f``; the draw order fixes every seed's output.
 
-    The kind, the position (in the bounding box widened by half the diameter
-    on each side), then the anchor pair, or the split edge and the witness.
+    The kind, the position (in ``f``'s :func:`_box` widened by half the
+    diameter on each side), then the anchor pair, or the split edge and the
+    witness.
     """
     zero = rng.random() < mix or f.graph.m <= 2
-    lo = f.positions.min(axis=0)
-    hi = f.positions.max(axis=0)
-    diameter = float(np.linalg.norm(hi - lo))
+    lo, hi, diameter = box
     pos = lo - 0.5 * diameter + rng.random(2) * (hi - lo + diameter)
     position = (float(pos[0]), float(pos[1]))
     nu = f.graph.n
@@ -187,13 +200,16 @@ def _propose(f: Framework, rng: np.random.Generator, mix: float) -> ExtensionSte
                          ((i, j, nu), (j, i, nu), (k, i, j)), position, removed_edge=(i, j))
 
 
-def _rejection(candidate: Framework, step: ExtensionStep) -> str | None:
+def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> str | None:
     """Why growth rejects a built candidate, or None to accept it.
 
     TOO_CLOSE: the new vertex is nearer than ``MIN_SEPARATION_FRACTION``
-    of the parent's diameter to another vertex.  SMALL_ANGLE: a new angle
-    lies within ``MIN_ANGLE_DEG`` of 0 or 180 degrees; its cosine comes
-    from the new rows alone.  NOT_MINIMAL: a 1-extension fails
+    of the parent's ``diameter`` (see :func:`_box`) to another vertex.
+    SMALL_ANGLE: a new angle lies within ``MIN_ANGLE_DEG`` of 0 or 180
+    degrees; the new cosines come from :func:`constraint_kernel` on the 3
+    or 4 points the step touches, against the precompiled ``_NEW_ANGLES``
+    of its kind, from the same coordinate differences (so the same bits)
+    as on the whole candidate.  NOT_MINIMAL: a 1-extension fails
     :func:`is_minimally_weakly_rigid`.
 
     A 0-extension needs no rank test, by the extension theorem (Tay &
@@ -212,13 +228,12 @@ def _rejection(candidate: Framework, step: ExtensionStep) -> str | None:
       ``i`` and ``j``.  The 5 degree bound on the new cosine at ``i``
       already rules that out, so no further tolerance is needed.
     """
-    parent, new = candidate.positions[:-1], candidate.positions[-1]
-    diameter = float(np.linalg.norm(parent.max(axis=0) - parent.min(axis=0)))
-    if np.linalg.norm(parent - new, axis=1).min() < MIN_SEPARATION_FRACTION * diameter:
+    p = candidate.positions
+    gap = p[:-1] - p[-1]
+    if math.sqrt(np.add.reduce(gap * gap, axis=1).min()) < MIN_SEPARATION_FRACTION * diameter:
         return TOO_CLOSE
-    # Compiled uncached: the cache keeps the graphs of whole frameworks.
-    rows = compile_graph.__wrapped__(Graph(candidate.n, angles=step.added_angles))
-    if np.abs(constraint_kernel(candidate.positions, rows)[0]).max() >= MAX_ABS_COSINE:
+    touched = p.take((*step.anchors[:2], step.new_vertex, *step.anchors[2:]), axis=0)
+    if np.abs(constraint_kernel(touched, _NEW_ANGLES[step.kind])[0]).max() >= MAX_ABS_COSINE:
         return SMALL_ANGLE
     if step.kind == KIND_1_EXTENSION and not is_minimally_weakly_rigid(candidate):
         return NOT_MINIMAL
@@ -237,7 +252,9 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float
     attempt builds a proposed step and keeps it if it passes the
     placement bounds of :func:`_rejection`.  A 0-extension that does is
     minimal by the extension theorem; a 1-extension must also pass the
-    single-removal minimality test.  A proposal that cannot be built
+    single-removal minimality test.  The parent's :func:`_box` is measured
+    once per step, for every proposal and its rejection test; an attempt
+    otherwise pays only for what it adds.  A proposal that cannot be built
     (collinear or collocated, or re-adding an angle the graph has) is
     rejected too.  A step that fails 1000 attempts raises
     PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
@@ -251,14 +268,15 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float
     rejected = dict.fromkeys((UNBUILDABLE, TOO_CLOSE, SMALL_ANGLE, NOT_MINIMAL), 0)
     for _ in range(steps):
         f = frameworks[-1]
+        box = _box(f.positions)
         for attempt in range(1, MAX_PLACEMENT_ATTEMPTS + 1):
-            step = _propose(f, rng, mix)
+            step = _propose(f, rng, mix, box)
             try:
                 candidate = apply_extension(f, step)
             except (CollinearPlacement, CollocatedPoints, DuplicateConstraint):
                 rejected[UNBUILDABLE] += 1
                 continue
-            cause = _rejection(candidate, step)
+            cause = _rejection(candidate, step, box[2])
             if cause is None:
                 break
             rejected[cause] += 1

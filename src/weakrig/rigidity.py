@@ -110,13 +110,13 @@ def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=F
     """
     m, q = cg.graph.m, cg.graph.q
     z = positions.take(cg.tails, axis=-2) - positions.take(cg.heads, axis=-2)
-    sq = (z * z).sum(axis=-1)
+    sq = np.add.reduce(z * z, axis=-1)
     za, zb = z[..., m:m + q, :], z[..., m + q:, :]
     na2, nb2 = sq[..., m:m + q], sq[..., m + q:]
     inv = 1.0 / np.sqrt(na2 * nb2)
-    cos = (za * zb).sum(axis=-1) * inv
+    cos = np.add.reduce(za * zb, axis=-1) * inv
     values = sq[..., :m + q].copy()  # the edges' squared lengths, then room for the cosines
-    np.clip(cos, -1.0, 1.0, out=values[..., m:])
+    np.minimum(np.maximum(cos, -1.0), 1.0, out=values[..., m:])  # np.clip, minus its dispatch
     if not matrix and target_values is None:
         return values, None, None
     inv, cos = inv[..., None], cos[..., None]
@@ -324,31 +324,35 @@ class MinimalityResult:
 
 
 def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> MinimalityResult:
-    """Single-removal minimality test, decided from one SVD of ``R_W``.
+    """Single-removal minimality test, decided from the singular values of ``R_W``.
 
     Minimal means the framework passes its rank condition and every
     framework obtained by dropping one constraint fails its own rank
     condition (which drops by one if the removal empties the edge set).
-    A row can be dropped without losing rank iff it has weight in the left
-    null space ``U[:, rank:]`` of ``R_W``; the weight counts when
-    ``weight * s[rank-1]``, about the singular value the reduced matrix
-    keeps, clears the rank cut ``rel_tol * s[0]``.  A lone edge is always
-    removable: the angle rows annihilate scaling, so they reach at most
-    the edge-free requirement.  The first removable constraint, angles
-    before edges, is the witness.  Raises the same errors as
-    :func:`classify_infinitesimal_weak_rigidity`.
+    ``R_W`` is ranked from its singular values alone, as
+    :func:`numerical_rank` does.  At full row rank no row can be dropped
+    without losing rank, so the answer follows at once.  Otherwise a full
+    SVD decides: a row can be dropped without losing rank iff it has
+    weight in the left null space ``U[:, rank:]`` of ``R_W``; the weight
+    counts when ``weight * s[rank-1]``, about the singular value the
+    reduced matrix keeps, clears the rank cut ``rel_tol * s[0]``.  A lone
+    edge is always removable: the angle rows annihilate scaling, so they
+    reach at most the edge-free requirement.  The first removable
+    constraint, angles before edges, is the witness.  Raises the same
+    errors as :func:`classify_infinitesimal_weak_rigidity`.
     """
     _, R, required = _checked_weak_rigidity_matrix(f)
-    U, s, _ = np.linalg.svd(R.matrix)
-    rank = _rank_cut(s, rel_tol)
+    rank = _rank_cut(np.linalg.svd(R.matrix, compute_uv=False), rel_tol)
     g = f.graph
     if rank != required:
         return MinimalityResult(minimal=False, reason="not rigid")
-    weight = np.linalg.norm(U[:, rank:], axis=1)
-    removable = weight * s[rank - 1] > rel_tol * s[0]
-    for row in [*range(g.m, g.m + g.q), *range(g.m)]:
-        if removable[row]:
-            return MinimalityResult(False, "removable constraint", R.row_labels[row])
+    if rank < R.shape[0]:
+        U, s, _ = np.linalg.svd(R.matrix)
+        weight = np.linalg.norm(U[:, rank:], axis=1)
+        removable = weight * s[rank - 1] > rel_tol * s[0]
+        for row in [*range(g.m, g.m + g.q), *range(g.m)]:
+            if removable[row]:
+                return MinimalityResult(False, "removable constraint", R.row_labels[row])
     if g.m == 1:
         return MinimalityResult(False, "removable constraint", R.row_labels[0])
     return MinimalityResult(minimal=True, reason="rigid and no constraint removable")

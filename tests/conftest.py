@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from weakrig import Framework, TargetSpec, build_graph, canonical_targets
+from weakrig import Framework, MinimalityResult, TargetSpec, build_graph, canonical_targets
+from weakrig.rigidity import _checked_weak_rigidity_matrix, _rank_cut
 
 # Triangle used throughout the construction examples (near-equilateral, side ~2).
 TRIANGLE_POS = np.array([[-1.732, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -109,3 +110,26 @@ def random_targets(rng):
         float(rng.uniform(0.5, 12.0)),
         float(rng.uniform(-0.95, 0.95)),
     )
+
+
+def full_svd_minimality(f: Framework, rel_tol: float = 1e-9) -> MinimalityResult:
+    """The single-removal minimality test ranked from one full SVD of ``R_W``.
+
+    The implementation that ranking from the singular values alone
+    replaced, kept as an oracle: it reads the left null space even at full
+    row rank, where it is empty.
+    """
+    _, R, required = _checked_weak_rigidity_matrix(f)
+    U, s, _ = np.linalg.svd(R.matrix)
+    rank = _rank_cut(s, rel_tol)
+    g = f.graph
+    if rank != required:
+        return MinimalityResult(minimal=False, reason="not rigid")
+    weight = np.linalg.norm(U[:, rank:], axis=1)
+    removable = weight * s[rank - 1] > rel_tol * s[0]
+    for row in [*range(g.m, g.m + g.q), *range(g.m)]:
+        if removable[row]:
+            return MinimalityResult(False, "removable constraint", R.row_labels[row])
+    if g.m == 1:
+        return MinimalityResult(False, "removable constraint", R.row_labels[0])
+    return MinimalityResult(minimal=True, reason="rigid and no constraint removable")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -21,6 +22,7 @@ from weakrig import (
     grow_random,
     simulate,
 )
+from weakrig import cli
 from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
 from weakrig.fileio import load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
@@ -499,6 +501,44 @@ class TestCheckGradient:
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
         assert main(["check-gradient", str(bad)]) == 1
+
+
+class TestCheckGradientUnits:
+    """The check runs on a normalized copy, so a change of unit or frame keeps its verdict."""
+
+    @staticmethod
+    def grown_copy(tmp_path, n, scale, offset):
+        grown = tmp_path / "grown.json"
+        assert main(["grow", "--n", str(n), "--seed", "7", "--out", str(grown)]) == 0
+        data = json.loads(grown.read_text())
+        data["positions"] = (np.array(data["positions"]) * scale + offset).tolist()
+        return write_json(tmp_path / "copy.json", data)
+
+    # Before the normalization, n = 12 read 3.5e-6 at x100, 3.5e-4 at x1e-3 and 5.0 at x1e5.
+    @pytest.mark.parametrize("scale, offset", [
+        (1.0, 0.0), (100.0, 0.0), (1e-3, 0.0), (1e5, 0.0), (1e-3, 1e3), (1e5, 1e6)])
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_rescaled_grown_copies_pass(self, tmp_path, capsys, n, scale, offset):
+        copy = self.grown_copy(tmp_path, n, scale, offset)
+        capsys.readouterr()
+        assert main(["check-gradient", copy]) == 0
+        assert float(capsys.readouterr().out.rsplit("=", 1)[1]) < 1e-8
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_a_perturbed_row_fails(self, tmp_path, capsys, monkeypatch, scale):
+        exact = cli.weak_rigidity_matrix
+
+        def perturbed(f):
+            R = exact(f)
+            matrix = R.matrix.copy()
+            matrix[1] += 1e-3
+            return dataclasses.replace(R, matrix=matrix)
+
+        copy = self.grown_copy(tmp_path, 12, scale, 0.0)
+        monkeypatch.setattr(cli, "weak_rigidity_matrix", perturbed)
+        capsys.readouterr()
+        assert main(["check-gradient", copy]) == 2
+        assert float(capsys.readouterr().out.rsplit("=", 1)[1]) > 9e-4
 
 
 K4_EDGES = [[i, j] for i in range(4) for j in range(i + 1, 4)]

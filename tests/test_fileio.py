@@ -222,6 +222,17 @@ class TestWrittenFileMode:
             os.umask(previous)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_writes_without_touching_the_umask(self, tmp_path, mixed_framework, monkeypatch):
+        # Setting the umask to read it would strip it from files other threads create meanwhile.
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        path = tmp_path / "fw.json"
+        dump_framework(mixed_framework, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["fw.json"]
+        assert np.array_equal(load_framework(str(path)).positions, mixed_framework.positions)
+
 
 class TestUnwritablePath:
     def test_missing_directory_names_the_path(self, tmp_path, mixed_framework):

@@ -36,12 +36,16 @@ from weakrig import henneberg
 from weakrig.henneberg import (
     MAX_ABS_COSINE,
     MIN_SEPARATION_FRACTION,
+    NOT_MINIMAL,
     SMALL_ANGLE,
     TOO_CLOSE,
+    _box,
+    _propose,
     _rejection,
 )
+from weakrig.rigidity import compile_graph, constraint_kernel
 
-from conftest import TRIANGLE_POS
+from conftest import TRIANGLE_POS, full_svd_minimality
 
 
 NEW_POS = (1.732, 0.0)
@@ -221,7 +225,7 @@ class TestRejectionCauses:
         step = zero_step((0.1, 0.9), anchors=(0, 2))
         candidate = apply_extension(triangle_k3, step)
         assert is_minimally_weakly_rigid(candidate).minimal
-        assert _rejection(candidate, step) == TOO_CLOSE
+        assert _rejection(candidate, step, _box(triangle_k3.positions)[2]) == TOO_CLOSE
 
     def test_angle_under_five_degrees(self, triangle_k3):
         # Seen from vertex 1, the new vertex is 1.4 degrees off vertex 2.
@@ -230,7 +234,7 @@ class TestRejectionCauses:
         assert math.degrees(math.acos(weak_rigidity_function(candidate)[-2])) < 5.0
         assert np.linalg.norm(candidate.positions[:3] - candidate.positions[3], axis=1).min() > 1.0
         assert is_minimally_weakly_rigid(candidate).minimal
-        assert _rejection(candidate, step) == SMALL_ANGLE
+        assert _rejection(candidate, step, _box(triangle_k3.positions)[2]) == SMALL_ANGLE
 
     def test_collinear(self, triangle_k3):
         with pytest.raises(CollinearPlacement):
@@ -238,7 +242,8 @@ class TestRejectionCauses:
 
     def test_acceptable_step(self, triangle_k3):
         step = zero_step(NEW_POS)
-        assert _rejection(apply_extension(triangle_k3, step), step) is None
+        diameter = _box(triangle_k3.positions)[2]
+        assert _rejection(apply_extension(triangle_k3, step), step, diameter) is None
 
     def test_duplicate_witness_angle(self):
         step = ExtensionStep("1-extension", 4, (0, 1, 3), ((0, 1, 4), (1, 0, 4), (3, 0, 1)),
@@ -308,5 +313,83 @@ class TestTrustedZeroExtensions:
             reject()
         assume(np.abs(weak_rigidity_function(candidate)[-2:]).max() < MAX_ABS_COSINE)
         oracle = is_minimally_weakly_rigid(candidate).minimal
-        assert (_rejection(candidate, step) is None) == oracle
+        assert (_rejection(candidate, step, diameter) is None) == oracle
         assert oracle
+
+
+def seven_edge_seed() -> Framework:
+    """Minimally rigid on five vertices with seven edges, so most steps can split one."""
+    g = build_graph(5, edges=[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    return Framework(g, 2, np.array([[0.0, 0.0], [2.0, 0.3], [0.8, 1.7], [2.6, 2.1], [1.1, 3.4]]))
+
+
+def uncached_rejection(candidate: Framework, step: ExtensionStep) -> str | None:
+    """``_rejection`` on the whole candidate: the parent's diameter measured from it,
+    the new angles compiled per call and evaluated at every vertex, and the
+    minimality test from one full SVD.  Kept as an oracle."""
+    parent, new = candidate.positions[:-1], candidate.positions[-1]
+    diameter = float(np.linalg.norm(parent.max(axis=0) - parent.min(axis=0)))
+    if np.linalg.norm(parent - new, axis=1).min() < MIN_SEPARATION_FRACTION * diameter:
+        return TOO_CLOSE
+    rows = compile_graph.__wrapped__(Graph(candidate.n, angles=step.added_angles))
+    if np.abs(constraint_kernel(candidate.positions, rows)[0]).max() >= MAX_ABS_COSINE:
+        return SMALL_ANGLE
+    if step.kind == "1-extension" and not full_svd_minimality(candidate):
+        return NOT_MINIMAL
+    return None
+
+
+# seeds 0..19 x mix {0, 0.5, 1} x n {8, 12} from the triangle: logs, final
+# positions, attempts and rejection counts, before the step-local rejection test
+GROWTH_SWEEP_SHA1 = "aabf92c6fba314482a1ce15b01bc667487000d09"
+
+
+class TestStepLocalRejection:
+    """Each attempt pays only for the new vertex, and growth answers as before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed_kind=st.sampled_from(["triangle", "seven-edge"]),
+        growth_seed=st.integers(0, 2**16),
+        steps=st.integers(0, 8),
+        mix=st.floats(0.0, 1.0),
+        proposal_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_cause_as_the_whole_candidate(self, seed_kind, growth_seed, steps, mix,
+                                               proposal_seed):
+        seed = (Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
+                if seed_kind == "triangle" else seven_edge_seed())
+        parent = grow_random(seed, steps=steps, rng_seed=growth_seed, mix=mix).final
+        box = _box(parent.positions)
+        rng = np.random.default_rng(proposal_seed)
+        for _ in range(15):
+            step = _propose(parent, rng, mix, box)
+            try:
+                candidate = apply_extension(parent, step)
+            except (CollinearPlacement, CollocatedPoints, DuplicateConstraint):
+                continue
+            assert _rejection(candidate, step, box[2]) == uncached_rejection(candidate, step)
+
+    def test_growth_sweep_is_unchanged(self, triangle_k3):
+        digest = hashlib.sha1()
+        for rng_seed in range(20):
+            for mix in (0.0, 0.5, 1.0):
+                for n in (8, 12):
+                    r = grow_random(triangle_k3, steps=n - 3, rng_seed=rng_seed, mix=mix)
+                    digest.update(growth_log_to_text(r.steps).encode())
+                    digest.update(r.final.positions.tobytes())
+                    digest.update(repr((r.attempts, r.unbuildable, r.too_close, r.small_angle,
+                                        r.not_minimal)).encode())
+        assert digest.hexdigest() == GROWTH_SWEEP_SHA1
+
+    def test_no_graph_is_compiled_per_attempt(self, triangle_k3, monkeypatch):
+        calls = []
+        uncached = compile_graph.__wrapped__
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return uncached(*args, **kwargs)
+
+        monkeypatch.setattr(compile_graph, "__wrapped__", counting)
+        result = grow_random(triangle_k3, steps=20, rng_seed=8, mix=0.5)
+        assert sum(result.attempts) > 20 and calls == []

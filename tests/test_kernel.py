@@ -283,6 +283,20 @@ class TestStackedKernel:
             stack = perturbed_stack(f3.positions, lead, rng)
             self.assert_matches_single_calls(stack, compile_graph(f.graph, 3), tv)
 
+    def test_cosines_rounded_past_one_are_clamped(self):
+        # The collinear rays of TestKernelAgainstLoops.test_cosines_clamped, in a stack.
+        u = np.array([1.3040000451301372, 0.9470809631292422])
+        s = 1.8590624786635572
+        positions = np.array([[0.0, 0.0], u, s * u, -s * u])
+        za, zb = u, s * u
+        assert np.add.reduce(za * zb) / np.sqrt(np.add.reduce(za * za) * np.add.reduce(zb * zb)) > 1.0
+        cg = compile_graph(build_graph(4, angles=[(0, 1, 2), (0, 1, 3)]))
+        stack = np.stack([positions, 2.0 * positions, positions + 1.0])
+        self.assert_matches_single_calls(stack, cg, np.zeros(2))
+        values = constraint_kernel(stack, cg)[0]
+        assert np.array_equal(values[0], [1.0, -1.0])
+        assert np.abs(values).max() == 1.0
+
     def test_no_constraints(self):
         stack = np.stack([TRIANGLE_POS, TRIANGLE_POS + 1.0])
         values, R, grad = constraint_kernel(stack, compile_graph(build_graph(3)), np.zeros(0), True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakrig import (
     DegenerateConfiguration,
@@ -29,6 +31,7 @@ from weakrig import (
 from conftest import (
     RHOMBUS_POS,
     TRIANGLE_POS,
+    full_svd_minimality,
     random_framework,
     random_positions,
     rhombus_framework,
@@ -534,3 +537,70 @@ class TestMinimalityAgainstExhaustiveOracle:
         for f in (five_angles, four_angles):
             assert _verdict(is_minimally_weakly_rigid(f)) == _verdict(exhaustive_minimality(f))
         assert is_minimally_weakly_rigid(five_angles).witness[0] == "cosine"
+
+
+CORPUS_KINDS = ("grown", "dropped", "added", "random-position", "lifted", "lone-edge")
+
+
+def _absent_angles(g: Graph):
+    return [(k, i, j) for k in range(g.n) for i in range(g.n) for j in range(i + 1, g.n)
+            if k not in (i, j) and (k, i, j) not in g.angles]
+
+
+def corpus_framework(kind: str, seed: int) -> Framework:
+    """One framework of ``kind``, built from a seeded growth run of 0..9 steps."""
+    rng = np.random.default_rng(seed)
+    k3 = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
+    grown = grow_random(k3, steps=int(rng.integers(10)), rng_seed=seed, mix=float(rng.random()))
+    f = grown.final
+    g, n = f.graph, f.graph.n
+    if kind == "grown":
+        return f
+    if kind == "dropped":
+        t = int(rng.integers(g.constraint_count))
+        graph = (Graph(n, g.edges[:t] + g.edges[t + 1:], g.angles) if t < g.m else
+                 Graph(n, g.edges, g.angles[:t - g.m] + g.angles[t - g.m + 1:]))
+        return Framework(graph, 2, f.positions)
+    if kind == "added":
+        absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in g.edges]
+        if absent and rng.random() < 0.5:
+            graph = Graph(n, g.edges + (absent[int(rng.integers(len(absent)))],), g.angles)
+        else:
+            angles = _absent_angles(g)
+            graph = Graph(n, g.edges, g.angles + (angles[int(rng.integers(len(angles)))],))
+        return Framework(graph, 2, f.positions)
+    if kind == "random-position":
+        return Framework(g, 2, random_positions(rng, n))
+    if kind == "lifted":
+        return lift(f, rng)
+    # lone-edge: one of the edges, and random angles in place of the others
+    angles = _absent_angles(g)
+    picked = rng.choice(len(angles), size=g.m - 1, replace=False)
+    graph = Graph(n, (g.edges[int(rng.integers(g.m))],), g.angles + tuple(angles[t] for t in picked))
+    return Framework(graph, 2, f.positions)
+
+
+def _outcome(test, f: Framework):
+    try:
+        return _verdict(test(f))
+    except (DegenerateConfiguration, EmptyEdgeSet) as exc:
+        return type(exc)
+
+
+class TestMinimalityAgainstFullSvd:
+    """Ranking from the singular values alone answers as the full SVD did."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(kind=st.sampled_from(CORPUS_KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_same_verdict_and_witness(self, kind, seed):
+        f = corpus_framework(kind, seed)
+        assert _outcome(is_minimally_weakly_rigid, f) == _outcome(full_svd_minimality, f)
+
+    def test_corpus_reaches_every_answer(self):
+        answers = set()
+        for kind in CORPUS_KINDS:
+            for seed in range(12):
+                _, reason, witness = _verdict(is_minimally_weakly_rigid(corpus_framework(kind, seed)))
+                answers.add((reason, witness and witness[0]))
+        assert answers == {("rigid and no constraint removable", None), ("not rigid", None),
+                           ("removable constraint", "cosine"), ("removable constraint", "distance")}

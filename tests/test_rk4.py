@@ -323,7 +323,7 @@ class TestRk4Loop:
             p = rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(-3, 4)
             tol = collocation_tolerance(p)
             p[1] = p[0] + rng.normal(size=2) * tol * rng.uniform(0.5, 1.5)
-            assert _collocated_three(p.ravel()) == collocated(p)
+            assert _collocated_three(p.ravel(), float(np.abs(p).max())) == collocated(p)
 
 
 class TestTraceCsv:
