@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
         "final_error_norm": float(trace.error_norm[-1]),
     }
     code = {"converged": EXIT_OK, "max-time": EXIT_TIMEOUT}.get(trace.terminal_status, EXIT_ERROR)
-    if canonical and trace.terminal_status != "converged":
+    if canonical and trace.terminal_status == "max-time":  # a diverged state is no equilibrium
         eq = classify_equilibrium(terminal, targets, tol=args.eps)
         summary["final_gradient_norm"] = eq.gradient_norm
         summary["terminal_kind"] = eq.kind
@@ -170,7 +170,8 @@ def cmd_simulate(args) -> int:
         if eq.kind == "incorrect":
             code = EXIT_INCORRECT_EQ
     else:
-        summary["final_gradient_norm"] = float(stable_norm(control_law(terminal, targets)))
+        with np.errstate(over="ignore"):  # a diverged state's cosines overflow in the kernel
+            summary["final_gradient_norm"] = float(stable_norm(control_law(terminal, targets)))
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:

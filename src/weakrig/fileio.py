@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -33,14 +34,19 @@ def _create_temporary(directory: str) -> tuple[int, str]:
             continue
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically; an OSError becomes a WriteError."""
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of strings, to ``path`` atomically.
+
+    An iterable is written piece by piece, so only one piece is held at a
+    time.  If anything raises, the temporary file is removed and ``path``
+    is left as it was; an OSError becomes a WriteError.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = _create_temporary(directory)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines((text,) if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -241,25 +247,36 @@ def write_matrix_csv(matrix, path: str, row_labels=None) -> None:
     _atomic_write(path, matrix_to_csv(matrix, row_labels=row_labels))
 
 
-def trace_to_csv(trace: SimulationTrace) -> str:
-    """One row per sample: time, coordinates, errors, V and (canonical) det Z."""
+# Trace CSV rows formatted at a time: the text of one block is all a write holds.
+CSV_BLOCK_ROWS = 1024
+
+
+def _trace_csv_chunks(trace: SimulationTrace) -> Iterator[str]:
+    """The header line, then the rows in blocks of :data:`CSV_BLOCK_ROWS`, one string each."""
     samples, n = trace.positions.shape[:2]
     columns = [trace.times[:, None], trace.positions.reshape(samples, -1), trace.errors,
                trace.lyapunov[:, None]]
     if trace.det_z is not None:  # only the three-agent topology's trace has det Z
-        header = "time,x1,y1,x2,y2,x3,y3,e12,e13,ecos,V,detZ"
+        yield "time,x1,y1,x2,y2,x3,y3,e12,e13,ecos,V,detZ\n"
         columns.append(trace.det_z[:, None])
     else:
         coords = ",".join(f"x{i+1},y{i+1}" for i in range(n))
         errs = ",".join(f"e{k+1}" for k in range(trace.errors.shape[1]))
-        header = f"time,{coords},{errs},V"
-    table = np.hstack(columns)
-    line = ",".join([FLOAT_CELL] * table.shape[1])
-    return "\n".join([header, *(line % tuple(row.tolist()) for row in table)]) + "\n"
+        yield f"time,{coords},{errs},V\n"
+    line = ",".join([FLOAT_CELL] * sum(c.shape[1] for c in columns)) + "\n"
+    for start in range(0, samples, CSV_BLOCK_ROWS):
+        block = np.hstack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def trace_to_csv(trace: SimulationTrace) -> str:
+    """One row per sample: time, coordinates, errors, V and (canonical) det Z."""
+    return "".join(_trace_csv_chunks(trace))
 
 
 def write_trace_csv(trace: SimulationTrace, path: str) -> None:
-    _atomic_write(path, trace_to_csv(trace))
+    """:func:`trace_to_csv` written to ``path`` one block of rows at a time."""
+    _atomic_write(path, _trace_csv_chunks(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,21 @@ class TestSimulate:
         assert summary["final_gradient_norm"] == pytest.approx(scaled_norm(grad), rel=1e-14)
         assert 1e168 < summary["final_error_norm"] < 1e169
         assert 1e253 < summary["final_gradient_norm"] < 1e254
+
+    def test_diverged_run_is_not_classified(self, tmp_path, capsys):
+        # A state near 1e84 is no equilibrium: no Jacobian is read off it, and
+        # the gradient norm is taken without an overflow warning.
+        fw = bench_framework_file(tmp_path)
+        tg = bench_target_file(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", fw, "--targets", tg, "--dt", "5", "--json"])
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert code == 1 and summary["status"] == "diverged"
+        assert [str(w.message) for w in caught] == [] and captured.err == ""
+        assert set(summary) == {"status", "steps", "t_final", "final_error_norm",
+                                "final_gradient_norm"}
 
     def test_degrees_targets_accepted(self, tmp_path):
         fw = bench_framework_file(tmp_path)

@@ -21,6 +21,7 @@ from weakrig import (
     weak_rigidity_matrix,
 )
 from weakrig.fileio import (
+    _atomic_write,
     dump_framework,
     framework_from_dict,
     framework_to_dict,
@@ -245,6 +246,22 @@ class TestUnwritablePath:
         with pytest.raises(WriteError, match="fw.json"):
             dump_framework(mixed_framework, str(tmp_path / "fw.json"))
         assert [p.name for p in tmp_path.iterdir()] == ["fw.json"]
+
+
+class TestStreamedWrite:
+    def test_failing_block_leaves_the_old_file(self, tmp_path):
+        # The first block is large enough to reach the temporary file on disk.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"old contents\n")
+
+        def blocks():
+            yield "0.5,1.5\n" * 4096
+            raise RuntimeError("second block")
+
+        with pytest.raises(RuntimeError, match="second block"):
+            _atomic_write(str(path), blocks())
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
 # ---------------------------------------------------------------------------

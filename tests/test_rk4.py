@@ -28,8 +28,8 @@ from weakrig import (
     weak_rigidity_function,
 )
 from weakrig.core import collocated, collocation_tolerance
-from weakrig.fileio import trace_to_csv
-from weakrig.formation import _collocated_three, _rhs_generic, _rk4
+from weakrig.fileio import CSV_BLOCK_ROWS, trace_to_csv, write_trace_csv
+from weakrig.formation import _collocated_three, _rhs_generic, _rk4, _trace
 from weakrig.rigidity import compile_graph
 
 from conftest import BENCH_INITIAL, BENCH_TARGETS, TRIANGLE_POS, random_positions
@@ -250,6 +250,14 @@ def generic_traces():
     return (simulate(*case) for case in generic_cases())
 
 
+def synthetic_trace(rows: int, canonical: bool) -> SimulationTrace:
+    """A trace of random states: three agents with det Z, or five agents and seven errors."""
+    rng = np.random.default_rng(rows)
+    n, errors = (3, 3) if canonical else (5, 7)
+    return _trace(np.arange(rows) * 1e-3, rng.normal(size=(rows, 2 * n)),
+                  rng.normal(size=(rows, errors)), "max-time", canonical)
+
+
 def assert_same_text(got: str, want: str) -> None:
     # Not ``assert got == want``: pytest's diff of two long traces takes minutes.
     if got != want:
@@ -298,7 +306,7 @@ class TestRk4Loop:
     def test_stops_on_collocation(self):
         cfg = SimulationConfig(dt=0.25, t_max=10.0, convergence_eps=0.0)
         times, states, _, status = run_rk4([0.0, 0.0, -1.0, 0.0, 0.0, 0.0], cfg)
-        assert status == "degenerate" and times == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert status == "degenerate" and times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert abs(states[-1][2]) < 1e-12
 
     def test_degenerate_is_tested_before_diverged(self):
@@ -310,12 +318,12 @@ class TestRk4Loop:
     def test_diverged_is_tested_before_converged(self):
         cfg = SimulationConfig(dt=0.25, t_max=10.0, convergence_eps=0.5, divergence_bound=1e8)
         times, _, errs, status = run_rk4([0.0] * 5 + [1e9], cfg, lambda x: (float(x[5] < 10.0),))
-        assert status == "diverged" and errs == [(1.0,), (0.0,)]
+        assert status == "diverged" and errs.tolist() == [[1.0], [0.0]]
 
     def test_start_is_not_tested_for_divergence(self):
         cfg = SimulationConfig(dt=0.25, t_max=0.0, convergence_eps=0.5, divergence_bound=1.0)
         times, _, _, status = run_rk4([0.0] * 6, cfg, lambda x: (1.0,))
-        assert status == "max-time" and times == [0.0]
+        assert status == "max-time" and times.tolist() == [0.0]
 
     def test_scalar_collocation_matches_core(self):
         rng = np.random.default_rng(99)
@@ -349,3 +357,17 @@ class TestTraceCsv:
             terminal_status="diverged",
         )
         assert_same_text(trace_to_csv(trace), field_trace_to_csv(trace))
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                      2 * CSV_BLOCK_ROWS + 1])
+    def test_streamed_file_matches_writers(self, tmp_path, rows, canonical):
+        # Rows around the block boundaries: the file written block by block,
+        # the joined string and the per-field writer agree byte for byte.
+        trace = synthetic_trace(rows, canonical)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        text = trace_to_csv(trace)
+        assert path.read_bytes() == text.encode()
+        assert_same_text(text, field_trace_to_csv(trace))
+        assert text.count("\n") == rows + 1
