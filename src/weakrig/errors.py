@@ -30,7 +30,7 @@ class EmptyEdgeSet(WeakRigError):
 
 
 class DegenerateConfiguration(WeakRigError):
-    """The configuration degrades the trivial-motion basis (p = 0, collinear...)."""
+    """All vertices are collinear, so the rigid motions lose their rank."""
 
 
 class TargetMismatch(WeakRigError):

@@ -15,7 +15,6 @@ implies weak rigidity, and the converse holds at generic configurations
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -227,13 +226,13 @@ def rigid_motions(positions: np.ndarray) -> np.ndarray:
     gives them in.  Column order changes how ``R @ basis`` rounds.
     """
     n, d = positions.shape
-    cols = [np.tile(e, n) for e in np.eye(d)]
-    for a, b in reversed(list(itertools.combinations(range(d), 2))):
-        spin = np.zeros((n, d))
-        spin[:, a] = -positions[:, b]
-        spin[:, b] = positions[:, a]
-        cols.append(spin.ravel())
-    return np.column_stack(cols)
+    planes = list(itertools.combinations(range(d), 2))[::-1]
+    motions = np.zeros((n, d, d + len(planes)))
+    motions[:, :, :d] = np.eye(d)
+    for t, (a, b) in enumerate(planes, d):
+        motions[:, a, t] = -positions[:, b]
+        motions[:, b, t] = positions[:, a]
+    return motions.reshape(n * d, -1)
 
 
 def trivial_motion_basis(f: Framework) -> np.ndarray:
@@ -241,13 +240,19 @@ def trivial_motion_basis(f: Framework) -> np.ndarray:
 
     The rigid motions of :func:`rigid_motions`; plus the configuration
     itself (uniform scaling) when the framework has no distance edges.
+    Raises DegenerateConfiguration if all vertices are collinear (one or
+    two always are): the centred ``n x d`` positions rank below 2.  Else the
+    columns are independent, so their count is the number of trivial
+    motions.  Scaling ``c``, skew ``Omega`` and translation ``t``, with
+    ``(c, Omega) != 0``, that vanish give ``(c I + Omega) p_i = -t``.  If
+    ``c != 0`` or ``d = 2`` that matrix is invertible, so all points would
+    be equal; else ``Omega p_i`` is constant, so they would lie on one line.
     """
-    basis = rigid_motions(f.positions)
-    if f.graph.m == 0:
-        basis = np.column_stack([basis, f.config()])
-    if numerical_rank(basis) != basis.shape[1]:
-        raise DegenerateConfiguration("trivial motions are linearly dependent (e.g. p = 0)")
-    return basis
+    p = f.positions
+    if _rank_cut(np.linalg.svd(p - p.mean(axis=0), compute_uv=False), DEFAULT_RANK_TOL) < 2:
+        raise DegenerateConfiguration("all vertices are collinear")
+    basis = rigid_motions(p)
+    return basis if f.graph.m else np.column_stack([basis, f.config()])
 
 
 @dataclass(frozen=True)
@@ -261,12 +266,7 @@ class RigidityReport:
     tolerance_used: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _all_collinear(positions: np.ndarray) -> bool:
-    s = np.linalg.svd(positions - positions.mean(axis=0), compute_uv=False)
-    return _rank_cut(s, DEFAULT_RANK_TOL) < 2
+        return dict(vars(self))
 
 
 def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidityMatrix, int]:
@@ -279,8 +279,6 @@ def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidit
         raise ValueError("rigidity classification needs n >= 3")
     if not f.graph.constraint_count:
         raise EmptyEdgeSet("framework has no constraints at all")
-    if _all_collinear(f.positions):
-        raise DegenerateConfiguration("all vertices are collinear")
     basis = trivial_motion_basis(f)
     return basis, weak_rigidity_matrix(f), f.positions.size - basis.shape[1]
 
@@ -290,11 +288,11 @@ def classify_infinitesimal_weak_rigidity(
 ) -> RigidityReport:
     """Rank test for infinitesimal weak rigidity, in 2D and 3D.
 
-    Requires ``n >= 3``; a framework with no constraints raises
-    EmptyEdgeSet.  Configurations that degrade the trivial-motion count
-    (``p = 0`` or all vertices collinear) raise DegenerateConfiguration
-    instead of returning a verdict.  The report carries the largest entry
-    of ``R_W`` times the unit-normed trivial motions as a residual.
+    Requires ``n >= 3``; no constraints at all raise EmptyEdgeSet, and
+    collinear vertices DegenerateConfiguration.  The trivial motions are
+    counted, not ranked: one SVD of the ``n x d`` positions, one of ``R_W``.
+    The report carries the largest entry of ``R_W`` times the unit-normed
+    trivial motions as a residual.
     """
     basis, R, required = _checked_weak_rigidity_matrix(f)
     rank = numerical_rank(R.matrix, rel_tol)

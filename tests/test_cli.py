@@ -21,11 +21,12 @@ from weakrig import (
     canonical_three_agent_graph,
     control_law,
     grow_random,
+    is_minimally_weakly_rigid,
     simulate,
 )
 from weakrig import cli
 from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
-from weakrig.fileio import load_framework, report_to_json
+from weakrig.fileio import dump_framework, load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
 
 from conftest import BENCH_INITIAL, BENCH_TARGETS, RHOMBUS_POS, RHOMBUS_VARIANTS
@@ -163,6 +164,73 @@ class TestAnalyze:
         assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) == out
         report = classify_infinitesimal_weak_rigidity(load_framework(rhombus_file(tmp_path, "a")))
         assert out == report_to_json(report)
+
+
+def k3_seed() -> Framework:
+    return Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2,
+                     np.array(K3_SEED_POSITIONS))
+
+
+def pinned_corpus():
+    """Grown frameworks n = 8..30, each with one constraint dropped and one
+    added, plus a random 3D lift of each and that lift rigidly moved by a few
+    radii.  Copies far from the origin in their own unit are left out."""
+    rng = np.random.default_rng(1717)
+    corpus = []
+    for rng_seed, mix in ((17, 0.5), (71, 1.0)):
+        for f in grow_random(k3_seed(), steps=27, rng_seed=rng_seed, mix=mix).frameworks[5:]:
+            g, n, p = f.graph, f.graph.n, f.positions
+            cut = int(rng.integers(g.constraint_count))
+            dropped = build_graph(n, [e for t, e in enumerate(g.edges) if t != cut],
+                                  [a for t, a in enumerate(g.angles) if g.m + t != cut])
+            absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in g.edges]
+            if rng.random() < 0.5:
+                added = build_graph(n, g.edges + (absent[int(rng.integers(len(absent)))],), g.angles)
+            else:
+                while True:
+                    k, i, j = (int(v) for v in rng.choice(n, size=3, replace=False))
+                    angle = (k, min(i, j), max(i, j))
+                    if angle not in g.angles:
+                        break
+                added = build_graph(n, g.edges, g.angles + (angle,))
+            rms = float(np.sqrt(np.mean(np.sum(p ** 2, axis=1))))
+            lifted = np.column_stack([p, rng.uniform(-1.0, 1.0, n) * rms])
+            turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            moved = lifted @ turn.T + rng.normal(size=3) * rms
+            corpus += [f, Framework(dropped, 2, p), Framework(added, 2, p),
+                       Framework(g, 3, lifted), Framework(g, 3, moved)]
+    return corpus
+
+
+class TestRankTestOutputsPinned:
+    """SHA-1 of ``analyze --json`` stdout and exit code, and of the minimality
+    answers, over a seeded corpus: counting the trivial motions instead of
+    ranking them changes no byte of either."""
+
+    def test_corpus_digest(self, tmp_path, capsys):
+        digest, codes, minimal = hashlib.sha1(), set(), set()
+        for t, f in enumerate(pinned_corpus()):
+            path = str(tmp_path / f"f{t}.json")
+            dump_framework(f, path)
+            code = main(["analyze", path, "--json"])
+            result = is_minimally_weakly_rigid(f)
+            digest.update(capsys.readouterr().out.encode() + f"{code}\n".encode())
+            digest.update(repr((result.minimal, result.reason, result.witness)).encode())
+            codes.add(code)
+            minimal.add(result.minimal)
+        assert codes == {0, 2} and minimal == {True, False}
+        assert digest.hexdigest() == "039703806483b42f03c49f02c8a7b5564a9c10c1"
+
+
+class TestFarFromOrigin:
+    def test_small_grown_copy_far_out_is_rigid(self, tmp_path, capsys):
+        f = grow_random(k3_seed(), steps=7, rng_seed=0).final
+        path = str(tmp_path / "far.json")
+        dump_framework(f.with_positions(f.positions * 0.01 + [0.0, 1e4]), path)
+        code = main(["analyze", path, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (report["rank"], report["required_rank"], report["rigid"]) == (17, 17, True)
 
 
 class TestSimulate:

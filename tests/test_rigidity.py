@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakrig import (
+    CollocatedPoints,
     DegenerateConfiguration,
     EmptyEdgeSet,
     Framework,
@@ -27,6 +30,7 @@ from weakrig import (
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
+from weakrig.rigidity import rigid_motions
 
 from conftest import (
     RHOMBUS_POS,
@@ -604,3 +608,105 @@ class TestMinimalityAgainstFullSvd:
                 answers.add((reason, witness and witness[0]))
         assert answers == {("rigid and no constraint removable", None), ("not rigid", None),
                            ("removable constraint", "cosine"), ("removable constraint", "distance")}
+
+
+def tiled_rigid_motions(positions: np.ndarray) -> np.ndarray:
+    """The rigid motions built column by column with ``np.tile`` and
+    ``np.column_stack``, one plane at a time, kept as an oracle."""
+    n, d = positions.shape
+    cols = [np.tile(e, n) for e in np.eye(d)]
+    for a, b in reversed(list(itertools.combinations(range(d), 2))):
+        spin = np.zeros((n, d))
+        spin[:, a] = -positions[:, b]
+        spin[:, b] = positions[:, a]
+        cols.append(spin.ravel())
+    return np.column_stack(cols)
+
+
+def drawn_framework(dim, n, with_edges, seed, scale_log10, offset_log10, collinear=False):
+    """Random positions in a unit ``10**scale_log10``, moved ``10**offset_log10``
+    along a random direction; a path of edges (or none) and a path of angles.
+    A draw that :class:`Framework` rejects is skipped."""
+    rng = np.random.default_rng(seed)
+    if collinear:
+        direction = rng.normal(size=dim)
+        pos = np.outer(rng.normal(size=n), direction / np.linalg.norm(direction))
+    else:
+        pos = rng.normal(size=(n, dim))
+    direction = rng.normal(size=dim)
+    shift = direction / np.linalg.norm(direction) * 10.0 ** offset_log10
+    edges = [(i, i + 1) for i in range(n - 1)] if with_edges else []
+    g = build_graph(n, edges=edges, angles=[(i, i + 1, i + 2) for i in range(n - 2)])
+    try:
+        return Framework(g, dim, pos * 10.0 ** scale_log10 + shift)
+    except CollocatedPoints:
+        assume(False)
+
+
+class TestRigidMotionsAgainstTiles:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_the_column_oracle(self, dim, n, seed):
+        pos = np.random.default_rng(seed).normal(size=(n, dim))
+        pos[0, 0] = 0.0  # a zero whose negation is -0.0
+        assert np.array_equal(rigid_motions(pos), tiled_rigid_motions(pos))
+        assert rigid_motions(pos).tobytes() == tiled_rigid_motions(pos).tobytes()
+
+
+class TestTrivialMotionsAreCounted:
+    """The basis is returned unranked: off a line its columns are independent."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(3, 9), with_edges=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), scale_log10=st.floats(-3.0, 3.0),
+           offset_log10=st.floats(-3.0, 6.0))
+    def test_full_column_rank_off_a_line(self, dim, n, with_edges, seed, scale_log10,
+                                         offset_log10):
+        f = drawn_framework(dim, n, with_edges, seed, scale_log10, offset_log10)
+        basis = trivial_motion_basis(f)
+        assert basis.shape == (dim * n, dim * (dim + 1) // 2 + (not with_edges))
+        # Far from the origin the rotations lean on the translations, so the
+        # rank is read where it means something: centred, unit RMS radius.
+        centred = f.positions - f.positions.mean(axis=0)
+        unit = f.with_positions(centred / np.sqrt(np.mean(np.sum(centred ** 2, axis=1))))
+        assert numerical_rank(trivial_motion_basis(unit)) == basis.shape[1]
+
+    # Offsets stay within 1e3 of the line's unit: further out, rounding moves
+    # the points off their line by more than the rank cut.
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 9), with_edges=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), scale_log10=st.floats(-3.0, 3.0),
+           relative_offset_log10=st.floats(-3.0, 3.0))
+    def test_collinear_draw_raises(self, dim, n, with_edges, seed, scale_log10,
+                                   relative_offset_log10):
+        f = drawn_framework(dim, n, with_edges, seed, scale_log10,
+                            scale_log10 + relative_offset_log10, collinear=True)
+        with pytest.raises(DegenerateConfiguration, match="collinear"):
+            trivial_motion_basis(f)
+
+    def test_two_vertices_are_collinear(self):
+        f = Framework(build_graph(2, edges=[(0, 1)]), 2, np.array([[0.0, 0.0], [1.0, 2.0]]))
+        with pytest.raises(DegenerateConfiguration, match="collinear"):
+            trivial_motion_basis(f)
+
+    def test_size_and_constraint_errors_come_first(self):
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        for test in (classify_infinitesimal_weak_rigidity, is_minimally_weakly_rigid):
+            with pytest.raises(ValueError, match="n >= 3"):
+                test(Framework(build_graph(2, edges=[(0, 1)]), 2, line[:2]))
+            with pytest.raises(EmptyEdgeSet):
+                test(Framework(build_graph(3), 2, line))
+
+
+class TestFarFromOrigin:
+    """A rigid framework in a small unit far from the origin keeps its verdict:
+    counting the trivial motions leaves no rank to lose there."""
+
+    @pytest.mark.parametrize("rng_seed, scale, offset", [
+        (0, 1e-2, 1e4), (1, 1e-2, 1e4), (2, 1e-2, 1e4), (0, 1e-3, 3e3)])
+    def test_grown_copy_is_rigid_and_minimal(self, triangle_k3, rng_seed, scale, offset):
+        f = grow_random(triangle_k3, steps=7, rng_seed=rng_seed).final
+        far = f.with_positions(f.positions * scale + [0.0, offset])
+        report = classify_infinitesimal_weak_rigidity(far)
+        assert (report.rank, report.required_rank, report.rigid) == (17, 17, True)
+        assert is_minimally_weakly_rigid(far).minimal
