@@ -44,12 +44,12 @@ GRADIENT_CHECK_THRESHOLD = 1e-6
 K3_SEED_POSITIONS = [[-1.732, 0.0], [0.0, 1.0], [0.0, -1.0]]
 
 
-def _number(name, ok, requirement):
-    """An argparse type: a finite float for which ``ok`` holds."""
+def _number(name, ok, requirement, convert=float):
+    """An argparse type: a finite ``convert(text)`` for which ``ok`` holds."""
     def parse(text):
         try:
-            value = float(text)
-            valid = math.isfinite(value) and ok(value)
+            value = convert(text)
+            valid = -math.inf < value < math.inf and ok(value)  # an int of any size is finite
         except ValueError:
             valid = False
         if not valid:
@@ -58,28 +58,8 @@ def _number(name, ok, requirement):
     return parse
 
 
-def _seed(text):
-    """An argparse type: a non-negative integer, as the RNG takes it."""
-    try:
-        value = int(text)
-        valid = value >= 0
-    except ValueError:
-        valid = False
-    if not valid:
-        raise argparse.ArgumentTypeError(f"--seed must be a non-negative integer, got {text}")
-    return value
-
-
 def _positive(name):
     return _number(name, lambda v: v > 0.0, "finite and positive")
-
-
-def _non_negative(name):
-    return _number(name, lambda v: v >= 0.0, "finite and >= 0")
-
-
-def _fraction(name):
-    return _number(name, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 @functools.cache  # one parser per process: parsing leaves it unchanged
@@ -99,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("framework", help="framework JSON file (initial condition)")
     p.add_argument("--targets", required=True, help="target JSON file")
     p.add_argument("--dt", type=_positive("--dt"), default=1e-3)
-    p.add_argument("--t-max", type=_non_negative("--t-max"), default=50.0)
+    p.add_argument("--t-max", type=_number("--t-max", lambda v: v >= 0.0, "finite and >= 0"),
+                   default=50.0)
     p.add_argument("--eps", type=_positive("--eps"), default=1e-8,
                    help="convergence threshold on ||e||")
     p.add_argument("--out", help="write the trace as CSV to this path")
@@ -107,8 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grow", help="grow a minimally weakly rigid framework")
     p.add_argument("--n", type=int, required=True, help="target vertex count (>= 3)")
-    p.add_argument("--seed", type=_seed, required=True, help="RNG seed (>= 0)")
-    p.add_argument("--mix", type=_fraction("--mix"), default=0.5,
+    p.add_argument("--seed", required=True, help="RNG seed (>= 0)",
+                   type=_number("--seed", lambda v: v >= 0, "a non-negative integer", int))
+    p.add_argument("--mix", type=_number("--mix", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+                   default=0.5,
                    help="probability of a 0-extension per step (default 0.5); from the K3 "
                         "seed at most one 1-extension happens, so this only moves when it does")
     p.add_argument("--out", help="write the final framework JSON here")
@@ -153,27 +136,30 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
     if args.out:
         fileio.write_trace_csv(trace, args.out)
-    terminal = f0.with_positions(trace.final_positions())
+    final = trace.final_positions()
     summary = {
         "status": trace.terminal_status,
         "steps": len(trace) - 1,
         "t_final": float(trace.times[-1]),
         "final_error_norm": float(trace.error_norm[-1]),
+        "final_gradient_norm": math.nan,  # kept for a state out of the float range
     }
     code = {"converged": EXIT_OK, "max-time": EXIT_TIMEOUT}.get(trace.terminal_status, EXIT_ERROR)
     if canonical and trace.terminal_status == "max-time":  # a diverged state is no equilibrium
-        eq = classify_equilibrium(terminal, targets, tol=args.eps)
+        eq = classify_equilibrium(f0.with_positions(final), targets, tol=args.eps)
         summary["final_gradient_norm"] = eq.gradient_norm
         summary["terminal_kind"] = eq.kind
         summary["collinear"] = eq.collinear
         summary["min_jacobian_eig"] = eq.min_jacobian_eig
         if eq.kind == "incorrect":
             code = EXIT_INCORRECT_EQ
-    else:
-        with np.errstate(over="ignore"):  # a diverged state's cosines overflow in the kernel
-            summary["final_gradient_norm"] = float(stable_norm(control_law(terminal, targets)))
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
+    elif np.isfinite(final).all():
+        with np.errstate(all="ignore"):  # a diverged state's separations and cosines overflow
+            grad = control_law(f0.with_positions(final), targets)
+        summary["final_gradient_norm"] = float(stable_norm(grad))
+    if args.json:  # JSON has no NaN or Infinity: a norm that is not finite is null
+        print(json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
+                          for key, v in summary.items()}, sort_keys=True))
     else:
         print(f"status: {summary['status']}")
         print(f"steps taken: {summary['steps']} (t = {summary['t_final']:g})")

@@ -65,44 +65,36 @@ def angle_key(k: int, i: int, j: int) -> AngleTriple:
     return (k, i, j) if i < j else (k, j, i)
 
 
-def _check_index(v: int, n: int, what: str) -> None:
-    if not (0 <= v < n):
-        raise IndexOutOfRange(f"{what} refers to vertex {v}, valid range is 0..{n - 1}")
-
-
 def build_graph(n, edges=(), angles=()) -> Graph:
-    """Validate and normalize a constraint graph.
+    """Validate and normalize a constraint graph, each entry once, edges first.
 
-    Raises SelfLoop, DuplicateConstraint, IndexOutOfRange or
-    DegenerateAngleTriple on malformed input.
+    Raises IndexOutOfRange, SelfLoop, DegenerateAngleTriple or
+    DuplicateConstraint on malformed input, ValueError on an entry of the
+    wrong arity.
     """
     if n < 1:
         raise IndexOutOfRange(f"vertex count must be positive, got {n}")
-    norm_edges: list[Edge] = []
-    seen_edges: set[Edge] = set()
-    for (i, j) in edges:
-        _check_index(i, n, f"edge ({i},{j})")
-        _check_index(j, n, f"edge ({i},{j})")
-        if i == j:
-            raise SelfLoop(f"edge ({i},{j}) is a self-loop")
-        e = edge_key(i, j)
-        if e in seen_edges:
-            raise DuplicateConstraint(f"edge {e} appears more than once")
-        seen_edges.add(e)
-        norm_edges.append(e)
-    norm_angles: list[AngleTriple] = []
-    seen_angles: set[AngleTriple] = set()
-    for (k, i, j) in angles:
-        for v in (k, i, j):
-            _check_index(v, n, f"angle ({k},{i},{j})")
-        if len({k, i, j}) != 3:
-            raise DegenerateAngleTriple(f"angle ({k},{i},{j}) repeats a vertex")
-        a = angle_key(k, i, j)
-        if a in seen_angles:
-            raise DuplicateConstraint(f"angle {a} appears more than once")
-        seen_angles.add(a)
-        norm_angles.append(a)
-    return Graph(n=n, edges=tuple(norm_edges), angles=tuple(norm_angles))
+    seen: set[tuple] = set()
+    kept = []
+    for kind, key_rule, repeated, wording, entries in (  # the unpacking checks the arity
+            ("edge", edge_key, SelfLoop, "is a self-loop", ((i, j) for i, j in edges)),
+            ("angle", angle_key, DegenerateAngleTriple, "repeats a vertex",
+             ((k, i, j) for k, i, j in angles))):
+        keys = []
+        for vs in entries:
+            for v in vs:
+                if not 0 <= v < n:
+                    raise IndexOutOfRange(f"{kind} ({','.join(map(str, vs))}) refers to vertex "
+                                          f"{v}, valid range is 0..{n - 1}")
+            if len(set(vs)) < len(vs):
+                raise repeated(f"{kind} ({','.join(map(str, vs))}) {wording}")
+            key = key_rule(*vs)
+            if key in seen:
+                raise DuplicateConstraint(f"{kind} {key} appears more than once")
+            seen.add(key)
+            keys.append(key)
+        kept.append(tuple(keys))
+    return Graph(n, *kept)
 
 
 def induced_distance_closure(g: Graph) -> Graph:
@@ -115,9 +107,14 @@ def induced_distance_closure(g: Graph) -> Graph:
     return Graph(n=g.n, edges=g.edges + tuple(sorted(added - set(g.edges))))
 
 
+def collocation_tolerance_at(big: float) -> float:
+    """Separation below which two points count as collocated, for points with ``max|p| = big``."""
+    return COLLOCATION_REL_TOL * (1.0 + big)
+
+
 def collocation_tolerance(positions: np.ndarray) -> float:
     """Separation below which two points count as collocated."""
-    return COLLOCATION_REL_TOL * (1.0 + float(np.abs(positions).max(initial=0.0)))
+    return collocation_tolerance_at(float(np.abs(positions).max(initial=0.0)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -95,14 +95,16 @@ def _entries(data: dict, key: str, where: str) -> list:
     return entries
 
 
-def _indices(entry, where: str) -> tuple[int, ...]:
-    """Vertex indices of a parsed entry; integral floats such as ``1.0`` pass."""
-    for v in entry:
+def _indices(entry, arity: int, where: str, shape: str, values: int = 0) -> tuple[int, ...]:
+    """The integer vertex indices that open a list of ``arity + values`` items; 1.0 counts as 1."""
+    if not isinstance(entry, list) or len(entry) != arity + values:
+        raise ParseError(f"{where} must be {shape}")
+    for v in entry[:arity]:
         if type(v) is int:
             continue
         if not _is_number(v) or not (isinstance(v, numbers.Integral) or float(v).is_integer()):
             raise ParseError(f"{where} has a non-integer vertex index {v!r}")
-    return tuple(int(v) for v in entry)
+    return tuple(map(int, entry[:arity]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +143,11 @@ def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
             raise ParseError(f"{where}: positions[{idx}] must be a list of {dim} numbers")
         if not all(map(_is_finite, row)):
             raise ParseError(f"{where}: positions[{idx}] has a non-finite coordinate")
-    edges = _entries(data, "edges", where)
-    angles = _entries(data, "angles", where)
-    for idx, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ParseError(f"{where}: edges[{idx}] must be a pair [i, j]")
-    for idx, a in enumerate(angles):
-        if not isinstance(a, list) or len(a) != 3:
-            raise ParseError(f"{where}: angles[{idx}] must be a triple [k, i, j]")
-    edges = [_indices(e, f"{where}: edges[{idx}]") for idx, e in enumerate(edges)]
-    angles = [_indices(a, f"{where}: angles[{idx}]") for idx, a in enumerate(angles)]
+    edges, angles = _entries(data, "edges", where), _entries(data, "angles", where)
+    edges = [_indices(e, 2, f"{where}: edges[{idx}]", "a pair [i, j]")
+             for idx, e in enumerate(edges)]
+    angles = [_indices(a, 3, f"{where}: angles[{idx}]", "a triple [k, i, j]")
+              for idx, a in enumerate(angles)]
     try:
         graph = build_graph(len(positions), edges=edges, angles=angles)
         return Framework(graph=graph, dim=dim, positions=np.array(positions, float))
@@ -187,13 +184,11 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
     targets: dict = {edge_key: {}, angle_key: {}}  # per key rule
     for field, (names, key_rule, what, convert) in TARGET_FIELDS.items():
-        arity = len(names)
+        arity, shape = len(names), f"[{', '.join(names)}, value]"
         found = targets[key_rule]
         for idx, entry in enumerate(_entries(data, field, where)):
             at = f"{where}: {field}[{idx}]"
-            if not isinstance(entry, list) or len(entry) != arity + 1:
-                raise ParseError(f"{at} must be [{', '.join(names)}, value]")
-            key = key_rule(*_indices(entry[:arity], at))
+            key = key_rule(*_indices(entry, arity, at, shape, 1))
             value = convert(_value(entry[arity], at))
             if key in found:
                 raise ParseError(f"{where}: duplicate {what} {key}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (COLLOCATION_REL_TOL, Framework, Graph, angle_key, build_graph, collocated,
-                   edge_key, stable_norm)
+from .core import (Framework, Graph, angle_key, build_graph, collocation_tolerance_at, edge_key,
+                   min_separation, stable_norm)
 from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
     CompiledGraph,
@@ -81,7 +81,7 @@ def align_targets(graph: Graph, sq_map, cos_map) -> TargetSpec:
     sq = {edge_key(*e): float(v) for e, v in dict(sq_map).items()}
     cs = {angle_key(*t): float(v) for t, v in dict(cos_map).items()}
     missing = [e for e in graph.edges if e not in sq] + [a for a in graph.angles if a not in cs]
-    extra = [e for e in sq if e not in set(graph.edges)] + [a for a in cs if a not in set(graph.angles)]
+    extra = [e for e in sq if e not in graph.edges] + [a for a in cs if a not in graph.angles]
     if missing or extra:
         raise TargetMismatch(f"targets do not cover constraints (missing {missing}, extra {extra})")
     return TargetSpec(
@@ -98,14 +98,15 @@ def canonical_targets(d01_sq: float, d02_sq: float, cos_angle: float) -> TargetS
     )
 
 
-def _check_cover(f: Framework, t: TargetSpec) -> None:
+def _target_values(f: Framework, t: TargetSpec) -> np.ndarray:
+    """``t.values()``, once checked to hold one target per constraint of ``f``, in graph order."""
     got = tuple(e for e, _ in t.sq_distances)
-    want = f.graph.edges
-    if got != want:
-        raise TargetMismatch(f"distance targets {got} do not match edges {want} in order")
-    got_a = tuple(a for a, _ in t.cosines)
-    if got_a != f.graph.angles:
-        raise TargetMismatch(f"cosine targets {got_a} do not match angles {f.graph.angles} in order")
+    if got != f.graph.edges:
+        raise TargetMismatch(f"distance targets {got} do not match edges {f.graph.edges} in order")
+    got = tuple(a for a, _ in t.cosines)
+    if got != f.graph.angles:
+        raise TargetMismatch(f"cosine targets {got} do not match angles {f.graph.angles} in order")
+    return t.values()
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,8 @@ class ErrorVector:
 
 def error_vector(f: Framework, t: TargetSpec) -> ErrorVector:
     """Current constraint values minus targets, in rigidity-matrix row order."""
-    _check_cover(f, t)
-    e = weak_rigidity_function(f) - t.values()
-    return ErrorVector(values=e, m=f.graph.m)
+    tv = _target_values(f, t)
+    return ErrorVector(values=weak_rigidity_function(f) - tv, m=f.graph.m)
 
 
 def _compile_for_flow(f: Framework) -> CompiledGraph:
@@ -135,8 +135,8 @@ def _compile_for_flow(f: Framework) -> CompiledGraph:
 
 def control_law(f: Framework, t: TargetSpec) -> np.ndarray:
     """Gradient-descent velocity ``-R_W^T e`` as a stacked ``2n`` vector."""
-    _check_cover(f, t)
-    return -constraint_kernel(f.positions, _compile_for_flow(f), t.values())[2].ravel()
+    tv = _target_values(f, t)
+    return -constraint_kernel(f.positions, _compile_for_flow(f), tv)[2].ravel()
 
 
 def _cosine_coefficients(p: np.ndarray):
@@ -181,8 +181,7 @@ def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = 1e-6) -> np.ndar
     Equals the Hessian of the potential, so it is symmetric up to the
     finite-difference error.
     """
-    _check_cover(f, t)
-    cg, tv = _compile_for_flow(f), t.values()
+    tv, cg = _target_values(f, t), _compile_for_flow(f)
     return central_differences(lambda p: constraint_kernel(p, cg, tv)[2], f.positions, fd_step)
 
 
@@ -233,9 +232,9 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
     """Classify a three-agent state as desired / incorrect / not an equilibrium."""
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("equilibrium classification needs the three-agent topology")
-    e = error_vector(f, t)
-    gnorm = float(stable_norm(control_law(f, t)))
-    enorm = e.norm()
+    tv = _target_values(f, t)
+    values, _, grad = constraint_kernel(f.positions, _compile_for_flow(f), tv)
+    enorm, gnorm = float(stable_norm(values - tv)), float(stable_norm(grad))
     if enorm < tol:
         kind = "desired"
     elif gnorm < tol:
@@ -357,9 +356,8 @@ def _collocated_three(x, big: float) -> bool:
     ``big`` is ``max|x|``, which the RK4 loop has already computed.
     """
     x0, y0, x1, y1, x2, y2 = x
-    tol = COLLOCATION_REL_TOL * (1.0 + big)
     return min(math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2),
-               math.hypot(x1 - x2, y1 - y2)) < tol
+               math.hypot(x1 - x2, y1 - y2)) < collocation_tolerance_at(big)
 
 
 def _rhs_generic(positions, cg: CompiledGraph, target_values):
@@ -379,11 +377,13 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
     Every accepted state is appended with its time and its errors ``e`` as
     one packed row of a flat ``array("d")`` buffer, 8 bytes per float; the
     velocity evaluated there is the next step's ``k1``, so a step costs four
-    ``rhs`` calls.  A recorded state ends the run, tested in this order,
-    when ``degenerate(p, big)`` (agents collocated; ``big`` is the state's
-    ``max|x|``, computed once per state), when a coordinate exceeds
-    ``divergence_bound`` (not tested on the initial state), or when
-    ``||e|| < convergence_eps``; otherwise the run stops at ``t_max``.
+    ``rhs`` calls.  A recorded state ends the run, tested in this order:
+    diverged when an error is not finite (as any coordinate that is not);
+    degenerate when ``degenerate(p, big)`` (agents collocated; ``big`` is
+    the state's ``max|x|``, computed once per state); diverged when a
+    coordinate exceeds ``divergence_bound`` (not on the initial state);
+    converged when ``||e|| < convergence_eps``.  Otherwise the run stops at
+    ``t_max``.
     Returns ``(times, states, errors, status)``: numpy views of the buffer's
     columns, shaped ``(T,)``, ``(T, len(p))`` and ``(T, len(e))``.
     """
@@ -410,11 +410,14 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
         x = p if listed else p.tolist()
         record.frombytes(pack(t, *x, *e))
         big = max(map(abs, x))
-        if degenerate(p, big):
+        norm = math.hypot(*e)
+        if not norm < math.inf:  # only constrained coordinates move, so a NaN in x shows in e
+            status = "diverged"
+        elif degenerate(p, big):
             status = "degenerate"
         elif k and big > cfg.divergence_bound:
             status = "diverged"
-        elif math.hypot(*e) < cfg.convergence_eps:
+        elif norm < cfg.convergence_eps:
             status = "converged"
         elif not t < cfg.t_max - 1e-12:
             status = "max-time"
@@ -435,7 +438,7 @@ def _trace(times, states, errs, status, canonical: bool) -> SimulationTrace:
     positions = np.asarray(states).reshape(len(states), -1, 2)
     errors = np.asarray(errs)
     error_norm = stable_norm(errors, axis=1)
-    with np.errstate(over="ignore"):  # V and det Z of a diverged run may pass the float range
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's V and det Z
         det = _det(positions) if canonical else None
         lyapunov = 0.5 * error_norm**2
     return SimulationTrace(
@@ -462,10 +465,10 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
     """
     cfg = cfg or SimulationConfig()
     cg = _compile_for_flow(f0)
-    _check_cover(f0, t)
+    tv = _target_values(f0, t)
     canonical = is_three_agent_topology(f0.graph)
     if canonical:
-        d1s, d2s, cs = t.values().tolist()
+        d1s, d2s, cs = tv.tolist()
         p0 = f0.config().tolist()
 
         def rhs(x):
@@ -473,13 +476,14 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
 
         degenerate = _collocated_three
     else:
-        tv, shape, p0 = t.values(), f0.positions.shape, f0.config()
+        shape, p0 = f0.positions.shape, f0.config()
 
         def rhs(x):
             vel, e = _rhs_generic(x.reshape(shape), cg, tv)
             return vel.ravel(), e
 
         def degenerate(x, big):
-            return collocated(x.reshape(shape))
+            return min_separation(x.reshape(shape)) < collocation_tolerance_at(big)
 
-    return _trace(*_rk4(p0, rhs, degenerate, cfg), canonical)
+    with np.errstate(over="ignore", invalid="ignore"):  # a step out of the float range ends the run
+        return _trace(*_rk4(p0, rhs, degenerate, cfg), canonical)

@@ -249,7 +249,7 @@ def trivial_motion_basis(f: Framework) -> np.ndarray:
     be equal; else ``Omega p_i`` is constant, so they would lie on one line.
     """
     p = f.positions
-    if _rank_cut(np.linalg.svd(p - p.mean(axis=0), compute_uv=False), DEFAULT_RANK_TOL) < 2:
+    if numerical_rank(p - p.mean(axis=0)) < 2:
         raise DegenerateConfiguration("all vertices are collinear")
     basis = rigid_motions(p)
     return basis if f.graph.m else np.column_stack([basis, f.config()])
@@ -327,10 +327,9 @@ def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     Minimal means the framework passes its rank condition and every
     framework obtained by dropping one constraint fails its own rank
     condition (which drops by one if the removal empties the edge set).
-    ``R_W`` is ranked from its singular values alone, as
-    :func:`numerical_rank` does.  At full row rank no row can be dropped
-    without losing rank, so the answer follows at once.  Otherwise a full
-    SVD decides: a row can be dropped without losing rank iff it has
+    :func:`numerical_rank` ranks ``R_W``.  At full row rank no row can be
+    dropped without losing rank, so the answer follows at once.  Otherwise
+    a full SVD decides: a row can be dropped without losing rank iff it has
     weight in the left null space ``U[:, rank:]`` of ``R_W``; the weight
     counts when ``weight * s[rank-1]``, about the singular value the
     reduced matrix keeps, clears the rank cut ``rel_tol * s[0]``.  A lone
@@ -340,7 +339,7 @@ def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     errors as :func:`classify_infinitesimal_weak_rigidity`.
     """
     _, R, required = _checked_weak_rigidity_matrix(f)
-    rank = _rank_cut(np.linalg.svd(R.matrix, compute_uv=False), rel_tol)
+    rank = numerical_rank(R.matrix, rel_tol)
     g = f.graph
     if rank != required:
         return MinimalityResult(minimal=False, reason="not rigid")

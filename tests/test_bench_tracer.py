@@ -56,3 +56,19 @@ def test_flow_and_growth_results_give_their_counts(tracing, bench_initial, bench
     tracing._result_counts("henneberg.grow_random", grown, counts)
     assert counts == {"formation.steps": 5, "fileio.csv_bytes": len(csv),
                       "henneberg.accepted_steps": 2}
+
+
+def test_a_full_row_rank_minimality_check_runs_two_svds(tracing, triangle_k3):
+    # One rank cut of the centred positions, one of R_W: both through numerical_rank.
+    grown = grow_random(triangle_k3, steps=6, rng_seed=3).final
+    recorder = tracing.Recorder()
+    recorder.begin_pass()
+    try:
+        result = importlib.import_module("weakrig.rigidity").is_minimally_weakly_rigid(grown)
+    finally:
+        recorder.end_pass()
+    assert result.minimal
+    metrics = recorder.per_pass_metrics(0)
+    assert metrics["rigidity.is_minimally_weakly_rigid.calls"] == 1
+    assert metrics["rigidity.numerical_rank.calls"] == 2
+    assert metrics["rigidity.svd_per_minimality_check"] == 2.0

@@ -305,6 +305,28 @@ class TestSimulate:
         assert 1e168 < summary["final_error_norm"] < 1e169
         assert 1e253 < summary["final_gradient_norm"] < 1e254
 
+    @pytest.mark.parametrize("targets, argv, error_norm, gradient_norm", [
+        (None, ["--dt", "20"], 1.489061072822853e+217, None),  # the gradient overflows
+        (None, ["--dt", "1000"], None, None),  # the cosine is NaN, and so the gradient
+        ({"sq_distances": [[0, 1, 1e150], [0, 2, 9.0]], "cosines": [[0, 1, 2, 0.5]]},
+         ["--t-max", "1"], None, None),  # the state itself turns NaN
+    ])
+    def test_run_out_of_the_float_range_prints_strict_json(self, tmp_path, capsys, targets, argv,
+                                                            error_norm, gradient_norm):
+        def no_constant(name):
+            raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+        fw = bench_framework_file(tmp_path)
+        tg = bench_target_file(tmp_path) if targets is None else write_json(
+            tmp_path / "targets.json", targets)
+        code = main(["simulate", fw, "--targets", tg, *argv, "--json"])
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out, parse_constant=no_constant)
+        assert code == 1 and captured.err == ""
+        assert summary["status"] == "diverged" and summary["steps"] == 1
+        assert summary["final_error_norm"] == error_norm
+        assert summary["final_gradient_norm"] == gradient_norm
+
     def test_diverged_run_is_not_classified(self, tmp_path, capsys):
         # A state near 1e84 is no equilibrium: no Jacobian is read off it, and
         # the gradient norm is taken without an overflow warning.
@@ -498,6 +520,7 @@ class TestNonFiniteOptions:
         ["analyze", "fw.json", "--tol", "inf"],
         ["check-gradient", "fw.json", "--fd-step=-inf"],
         ["grow", "--n", "5", "--seed", "1", "--mix", "nan"],
+        ["grow", "--n", "5", "--seed", "1.5"],
     ])
     def test_rejected_by_the_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -527,6 +550,10 @@ class TestNonFiniteOptions:
             build_parser().parse_args(["grow", "--n", "5", "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    def test_a_seed_past_the_float_range_is_taken_as_given(self):
+        seed = "9" * 400  # too large for a float, finite as an integer
+        assert build_parser().parse_args(["grow", "--n", "5", "--seed", seed]).seed == int(seed)
 
 
 class TestUnwritableOutput:

@@ -22,8 +22,8 @@ from weakrig import (
     weak_rigidity_matrix,
     weakly_rigid_0_extension,
 )
-from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance, edge_key,
-                          min_separation, stable_norm)
+from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance,
+                          collocation_tolerance_at, edge_key, min_separation, stable_norm)
 
 from conftest import TRIANGLE_POS, random_framework, random_positions
 
@@ -260,6 +260,8 @@ class TestCollocationTolerance:
             want = COLLOCATION_REL_TOL * (1.0 + float(np.max(np.abs(p), initial=0.0)))
             assert float(np.abs(p).max(initial=0.0)) == float(np.max(np.abs(p), initial=0.0))
             assert collocation_tolerance(p) == want
+            # the flow's loop computes max|p| over the state's Python floats
+            assert collocation_tolerance_at(max(map(abs, p.ravel().tolist()), default=0.0)) == want
 
 
 class TestStableNorm:

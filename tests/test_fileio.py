@@ -342,3 +342,80 @@ class TestParseFuzz:
             targets_from_dict(data, FUZZ_GRAPH)
         except WeakRigError:
             pass
+
+
+# One fault per input: the error each entry point raises for it, type and full message.
+FAULT_POSITIONS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+FAULT_GRAPH = build_graph(4, edges=[(0, 1), (0, 2)], angles=[(0, 1, 2)])
+
+
+def framework_fault(**fields):
+    return lambda: framework_from_dict({"dim": 2, "positions": FAULT_POSITIONS, **fields})
+
+
+def target_fault(**fields):
+    document = {"sq_distances": [[0, 1, 1.0], [0, 2, 1.0]], "cosines": [[0, 1, 2, 0.0]]}
+    return lambda: targets_from_dict({**document, **fields}, FAULT_GRAPH)
+
+
+SINGLE_FAULTS = {
+    "edge-arity": (framework_fault(edges=[[0, 1, 2]]), ParseError,
+                   "<framework>: edges[0] must be a pair [i, j]"),
+    "angle-arity": (framework_fault(angles=[[0, 1]]), ParseError,
+                    "<framework>: angles[0] must be a triple [k, i, j]"),
+    "edge-not-a-list": (framework_fault(edges=[5]), ParseError,
+                        "<framework>: edges[0] must be a pair [i, j]"),
+    "angle-not-a-list": (framework_fault(angles=["012"]), ParseError,
+                         "<framework>: angles[0] must be a triple [k, i, j]"),
+    "edge-non-integer": (framework_fault(edges=[[0, 1.5]]), ParseError,
+                         "<framework>: edges[0] has a non-integer vertex index 1.5"),
+    "angle-non-integer": (framework_fault(angles=[[0, 1, "2"]]), ParseError,
+                          "<framework>: angles[0] has a non-integer vertex index '2'"),
+    "edge-out-of-range": (framework_fault(edges=[[0, 4]]), ParseError,
+                          "<framework>: edge (0,4) refers to vertex 4, valid range is 0..3"),
+    "angle-out-of-range": (framework_fault(angles=[[-1, 1, 2]]), ParseError,
+                           "<framework>: angle (-1,1,2) refers to vertex -1, valid range is 0..3"),
+    "self-loop": (framework_fault(edges=[[2, 2]]), ParseError,
+                  "<framework>: edge (2,2) is a self-loop"),
+    "angle-repeats-a-vertex": (framework_fault(angles=[[1, 2, 1]]), ParseError,
+                               "<framework>: angle (1,2,1) repeats a vertex"),
+    "duplicate-edge": (framework_fault(edges=[[0, 1], [1, 0]]), ParseError,
+                       "<framework>: edge (0, 1) appears more than once"),
+    "duplicate-angle": (framework_fault(angles=[[0, 1, 2], [0, 2, 1]]), ParseError,
+                        "<framework>: angle (0, 1, 2) appears more than once"),
+    "target-arity": (target_fault(sq_distances=[[0, 1]]), ParseError,
+                     "<targets>: sq_distances[0] must be [i, j, value]"),
+    "target-not-a-list": (target_fault(cosines=[None]), ParseError,
+                          "<targets>: cosines[0] must be [k, i, j, value]"),
+    "target-non-integer": (target_fault(cosines=[[0.5, 1, 2, 0.0]]), ParseError,
+                           "<targets>: cosines[0] has a non-integer vertex index 0.5"),
+    "target-out-of-range": (target_fault(sq_distances=[[0, 1, 1.0], [0, 7, 1.0]]), ParseError,
+                            "<targets>: targets do not cover constraints "
+                            "(missing [(0, 2)], extra [(0, 7)])"),
+    "target-self-loop": (target_fault(sq_distances=[[0, 1, 1.0], [0, 0, 1.0]]), ParseError,
+                         "<targets>: targets do not cover constraints "
+                         "(missing [(0, 2)], extra [(0, 0)])"),
+    "target-angle-repeats-a-vertex": (target_fault(cosines=[[0, 1, 1, 0.0]]), ParseError,
+                                      "<targets>: targets do not cover constraints "
+                                      "(missing [(0, 1, 2)], extra [(0, 1, 1)])"),
+    "target-duplicate-edge": (target_fault(sq_distances=[[0, 1, 1.0], [1, 0, 2.0]]), ParseError,
+                              "<targets>: duplicate distance target for edge (0, 1)"),
+    "target-duplicate-angle": (target_fault(cosines=[[0, 1, 2, 0.0], [0, 2, 1, 0.5]]), ParseError,
+                               "<targets>: duplicate cosine target for angle (0, 1, 2)"),
+    "target-duplicate-across-fields": (target_fault(cosines_deg=[[0, 2, 1, 90.0]]), ParseError,
+                                       "<targets>: duplicate cosine target for angle (0, 1, 2)"),
+    # Python's own unpacking messages: build_graph unpacks each entry by its arity.
+    "build-graph-edge-arity": (lambda: build_graph(3, edges=[(0, 1, 2)]), ValueError,
+                               "too many values to unpack (expected 2)"),
+    "build-graph-short-edge": (lambda: build_graph(3, edges=[(0,)]), ValueError,
+                               "not enough values to unpack (expected 2, got 1)"),
+    "build-graph-angle-arity": (lambda: build_graph(3, angles=[(0, 1)]), ValueError,
+                                "not enough values to unpack (expected 3, got 2)"),
+}
+
+
+@pytest.mark.parametrize("parse, error, message", SINGLE_FAULTS.values(), ids=list(SINGLE_FAULTS))
+def test_single_fault_gives_its_error_and_message(parse, error, message):
+    with pytest.raises(error) as caught:
+        parse()
+    assert type(caught.value) is error and str(caught.value) == message

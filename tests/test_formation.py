@@ -255,6 +255,20 @@ class TestSimulate:
         assert trace.lyapunov[1] == math.inf and trace.det_z[1] == -math.inf
         assert trace.det_z[0] == 1.0
 
+    @pytest.mark.parametrize("kind", ["canonical", "one-edge"])
+    def test_a_state_out_of_the_float_range_ends_the_run(self, bench_initial, kind):
+        # A target of 1e150 overflows the first step's velocity, and inf - inf
+        # then makes the state NaN; the run stops there, without a warning.
+        if kind == "canonical":
+            f0, t = bench_initial, canonical_targets(1e150, 9.0, 0.5)
+        else:
+            g = build_graph(3, edges=[(0, 1)])
+            f0 = Framework(g, 2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+            t = align_targets(g, {(0, 1): 1e150}, {})
+        trace = simulate(f0, t, SimulationConfig(t_max=1.0))
+        assert trace.terminal_status == "diverged" and len(trace) == 2
+        assert np.isfinite(trace.positions[0]).all() and not np.isfinite(trace.positions[1]).all()
+
     def test_degenerate_guard(self, bench_targets):
         # The continuous flow cannot collocate agents in finite time, so the
         # guard is exercised directly on a sub-tolerance state.

@@ -320,6 +320,20 @@ class TestRk4Loop:
         times, _, errs, status = run_rk4([0.0] * 5 + [1e9], cfg, lambda x: (float(x[5] < 10.0),))
         assert status == "diverged" and errs.tolist() == [[1.0], [0.0]]
 
+    def test_an_error_that_is_not_finite_ends_the_run_first(self):
+        # A NaN behind the first coordinate leaves max|x| finite; the errors show it.
+        cfg = SimulationConfig(dt=0.25, t_max=10.0, convergence_eps=0.0, divergence_bound=1e8)
+        times, states, _, status = run_rk4([0.0, 0.0, math.nan, 0.0, 0.0, 0.0], cfg,
+                                           lambda x: (x[2],))
+        assert status == "diverged" and times.tolist() == [0.0, 0.25]
+        assert math.isnan(states[1][2]) and not math.isnan(states[0][2])
+
+    @pytest.mark.parametrize("error", [math.inf, math.nan])
+    def test_an_initial_error_that_is_not_finite_ends_the_run(self, error):
+        cfg = SimulationConfig(dt=0.25, t_max=10.0, convergence_eps=0.5)
+        times, _, _, status = run_rk4([0.0] * 6, cfg, lambda x: (error,))
+        assert status == "diverged" and times.tolist() == [0.0]
+
     def test_start_is_not_tested_for_divergence(self):
         cfg = SimulationConfig(dt=0.25, t_max=0.0, convergence_eps=0.5, divergence_bound=1.0)
         times, _, _, status = run_rk4([0.0] * 6, cfg, lambda x: (1.0,))
