@@ -21,7 +21,6 @@ from .errors import WeakRigError
 from .formation import (
     SimulationConfig,
     classify_equilibrium,
-    control_law,
     is_three_agent_topology,
     simulate,
 )
@@ -153,10 +152,8 @@ def cmd_simulate(args) -> int:
         summary["min_jacobian_eig"] = eq.min_jacobian_eig
         if eq.kind == "incorrect":
             code = EXIT_INCORRECT_EQ
-    elif np.isfinite(final).all():
-        with np.errstate(all="ignore"):  # a diverged state's separations and cosines overflow
-            grad = control_law(f0.with_positions(final), targets)
-        summary["final_gradient_norm"] = float(stable_norm(grad))
+    elif np.isfinite(final).all():  # the flow's velocity at the final state: -R_W^T e
+        summary["final_gradient_norm"] = float(stable_norm(trace.final_velocity))
     if args.json:  # JSON has no NaN or Infinity: a norm that is not finite is null
         print(json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
                           for key, v in summary.items()}, sort_keys=True))

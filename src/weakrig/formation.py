@@ -81,7 +81,8 @@ def align_targets(graph: Graph, sq_map, cos_map) -> TargetSpec:
     sq = {edge_key(*e): float(v) for e, v in dict(sq_map).items()}
     cs = {angle_key(*t): float(v) for t, v in dict(cos_map).items()}
     missing = [e for e in graph.edges if e not in sq] + [a for a in graph.angles if a not in cs]
-    extra = [e for e in sq if e not in graph.edges] + [a for a in cs if a not in graph.angles]
+    edges, angles = set(graph.edges), set(graph.angles)
+    extra = [e for e in sq if e not in edges] + [a for a in cs if a not in angles]
     if missing or extra:
         raise TargetMismatch(f"targets do not cover constraints (missing {missing}, extra {extra})")
     return TargetSpec(
@@ -298,6 +299,7 @@ class SimulationTrace:
     ``times``, ``positions`` and ``errors`` of a simulated run are views of
     :func:`_rk4`'s flat float64 record, so a three-agent sample costs 80
     bytes there and 24 more in ``error_norm``, ``lyapunov`` and ``det_z``.
+    ``final_velocity``, stacked ``2n``, is the RK4 loop's last ``k1``: ``-R_W^T e`` there.
     """
 
     times: np.ndarray = field(repr=False)
@@ -307,6 +309,7 @@ class SimulationTrace:
     lyapunov: np.ndarray = field(repr=False)
     det_z: np.ndarray | None = field(repr=False)
     terminal_status: str  # "converged" | "max-time" | "diverged" | "degenerate"
+    final_velocity: np.ndarray | None = field(default=None, repr=False)  # (2n,)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -315,13 +318,17 @@ class SimulationTrace:
         return self.positions[-1]
 
 
-def _rhs_canonical(x, d1s, d2s, cs):
-    """Scalar flow for the canonical topology: ``(-R_W^T e, e)`` at the stacked state ``x``.
+def _rhs_canonical(x, d1s, d2s, cs, a=0.0, k=None):
+    """Scalar flow for the canonical topology: ``(-R_W^T e, e)`` at the stacked state ``x + a*k``.
 
-    Python floats in and out (lists of six coordinates); at n = 3 it is about
-    ten times cheaper than :func:`constraint_kernel`.
+    At ``x`` when ``k`` is None.  Python floats in and out (six coordinates);
+    at n = 3 it is about ten times cheaper than :func:`constraint_kernel`.
     """
     x0, y0, x1, y1, x2, y2 = x
+    if k is not None:  # the RK4 stage point
+        u0, v0, u1, v1, u2, v2 = k
+        x0, y0, x1, y1 = x0 + a * u0, y0 + a * v0, x1 + a * u1, y1 + a * v1
+        x2, y2 = x2 + a * u2, y2 + a * v2
     ax = x0 - x1
     ay = y0 - y1
     bx = x0 - x2
@@ -360,57 +367,87 @@ def _collocated_three(x, big: float) -> bool:
                math.hypot(x1 - x2, y1 - y2)) < collocation_tolerance_at(big)
 
 
-def _rhs_generic(positions, cg: CompiledGraph, target_values):
-    """Gradient flow for any compiled constraint graph: ``(-R_W^T e, e)``, no validation.
+def _combine_canonical(p, s, k1, k2, k3, k4):
+    """``p + s*(k1 + 2k2 + 2k3 + k4)`` on six floats, unrolled (twice as cheap as a zip)."""
+    (p0, p1, p2, p3, p4, p5), (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = p, k1, k2
+    (c0, c1, c2, c3, c4, c5), (d0, d1, d2, d3, d4, d5) = k3, k4
+    return (p0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0), p1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            p2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2), p3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            p4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4), p5 + s * (a5 + 2.0 * b5 + 2.0 * c5 + d5))
 
-    One :func:`constraint_kernel` call; the velocity is an ``(n, 2)`` array.
+
+def _rhs_generic(positions, cg: CompiledGraph, target_values, a=0.0, k=None):
+    """Gradient flow for any compiled constraint graph: ``(-R_W^T e, e)`` at ``positions + a*k``.
+
+    At ``positions`` when ``k`` is None.  No validation; one
+    :func:`constraint_kernel` call; the velocity is an ``(n, 2)`` array.
     """
+    if k is not None:
+        positions = positions + a * k
     values, _, grad = constraint_kernel(positions, cg, target_values)
     return -grad, values - target_values
 
 
-def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
-    """Classical fixed-step RK4 of ``p' = v`` with ``v, e = rhs(p)`` from the stacked state ``p``.
+def _collocation_gate(p):
+    """``degenerate(x, big)`` for the kernel flow: :func:`core.collocated`, measured when needed.
 
-    ``p`` and ``v`` are lists of six floats (the three-agent flow) or numpy
-    arrays (the kernel flow); the type picks ``axpy(x, a, y) = x + a*y``.
-    Every accepted state is appended with its time and its errors ``e`` as
-    one packed row of a flat ``array("d")`` buffer, 8 bytes per float; the
-    velocity evaluated there is the next step's ``k1``, so a step costs four
-    ``rhs`` calls.  A recorded state ends the run, tested in this order:
+    Skips the pairwise test while ``s - 3*max|x - ref| > 2*tol``, ``s`` the
+    ``min_separation`` of the last measured state ``ref``: a 2D vertex moves
+    at most ``sqrt(2)*max|x - ref|`` and 3 > 2*sqrt(2), and the factor 2
+    covers rounding, so every answer is the full test's; NaN or inf falls
+    through to it.  States are never mutated in place, so holding ``ref`` is safe.
+    """
+    ref, sep = p, -math.inf  # nothing measured yet
+
+    def degenerate(x, big):
+        nonlocal ref, sep
+        tol = collocation_tolerance_at(big)
+        if sep - 3.0 * float(np.abs(x - ref).max()) > 2.0 * tol:
+            return False
+        ref, sep = x, min_separation(x)
+        return sep < tol
+
+    return degenerate
+
+
+def _rk4(p, stage, combine, degenerate, cfg: SimulationConfig):
+    """Classical fixed-step RK4 of ``p' = v`` from the state ``p``.
+
+    ``stage(p, a, k)`` returns the velocity and errors ``(v, e)`` at
+    ``p + a*k`` (at ``p`` when ``k`` is None), and ``combine(p, s, k1, k2,
+    k3, k4)`` returns the next state ``p + s*(k1 + 2k2 + 2k3 + k4)``, never
+    changing ``p`` in place.  A state is a tuple of six floats (the
+    three-agent flow) or a numpy array (the kernel flow).  Every accepted
+    state is appended with its time and its errors as one packed row of a
+    flat ``array("d")`` buffer, 8 bytes per float; the velocity there is the
+    next step's ``k1``, so a step costs four ``stage`` calls and one
+    ``combine``.  A recorded state ends the run, tested in this order:
     diverged when an error is not finite (as any coordinate that is not);
     degenerate when ``degenerate(p, big)`` (agents collocated; ``big`` is
     the state's ``max|x|``, computed once per state); diverged when a
     coordinate exceeds ``divergence_bound`` (not on the initial state);
     converged when ``||e|| < convergence_eps``.  Otherwise the run stops at
     ``t_max``.
-    Returns ``(times, states, errors, status)``: numpy views of the buffer's
-    columns, shaped ``(T,)``, ``(T, len(p))`` and ``(T, len(e))``.
+    Returns ``(times, states, errors, velocity, status)``: numpy views of the
+    buffer's columns, shaped ``(T,)``, ``(T, size of p)`` and ``(T, len(e))``,
+    then the velocity ``k1`` at the last recorded state.
     """
-    listed = isinstance(p, list)  # a list state is read as is, an array state via tolist()
-    if listed:
-        def axpy(x, a, y):  # unrolled: three times cheaper than a comprehension over zip
-            x0, x1, x2, x3, x4, x5 = x
-            y0, y1, y2, y3, y4, y5 = y
-            return [x0 + a * y0, x1 + a * y1, x2 + a * y2, x3 + a * y3, x4 + a * y4, x5 + a * y5]
-    else:
-        def axpy(x, a, y):
-            return x + a * y
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    k1, e = rhs(p)
-    size, width = len(p), 1 + len(p) + len(e)
+    k1, e = stage(p, 0.0, None)
+    size, width = np.size(p), 1 + np.size(p) + len(e)
     pack = struct.Struct(f"{width}d").pack  # one row per state: t, x, e
     record = array("d")
     k = 0
     status = None
     while status is None:
         t = k * dt
-        x = p if listed else p.tolist()
-        record.frombytes(pack(t, *x, *e))
+        x = p if isinstance(p, tuple) else p.ravel().tolist()
+        errs = e if isinstance(e, tuple) else e.tolist()
+        record.frombytes(pack(t, *x, *errs))
         big = max(map(abs, x))
-        norm = math.hypot(*e)
+        norm = math.hypot(*errs)
         if not norm < math.inf:  # only constrained coordinates move, so a NaN in x shows in e
             status = "diverged"
         elif degenerate(p, big):
@@ -422,18 +459,17 @@ def _rk4(p, rhs, degenerate, cfg: SimulationConfig):
         elif not t < cfg.t_max - 1e-12:
             status = "max-time"
         else:
-            k2, _ = rhs(axpy(p, half, k1))
-            k3, _ = rhs(axpy(p, half, k2))
-            k4, _ = rhs(axpy(p, dt, k3))
-            # p + sixth*(k1 + 2k2 + 2k3 + k4), bit for bit: 1.0*k4 is exact
-            p = axpy(p, sixth, axpy(axpy(axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4))
+            k2, _ = stage(p, half, k1)
+            k3, _ = stage(p, half, k2)
+            k4, _ = stage(p, dt, k3)
+            p = combine(p, sixth, k1, k2, k3, k4)
             k += 1
-            k1, e = rhs(p)
+            k1, e = stage(p, 0.0, None)
     table = np.frombuffer(record).reshape(-1, width)
-    return table[:, 0], table[:, 1:1 + size], table[:, 1 + size:], status
+    return table[:, 0], table[:, 1:1 + size], table[:, 1 + size:], k1, status
 
 
-def _trace(times, states, errs, status, canonical: bool) -> SimulationTrace:
+def _trace(times, states, errs, status, canonical: bool, velocity=None) -> SimulationTrace:
     """The trace of :func:`_rk4`'s record; arrays are used as they are, lists converted."""
     positions = np.asarray(states).reshape(len(states), -1, 2)
     errors = np.asarray(errs)
@@ -449,6 +485,7 @@ def _trace(times, states, errs, status, canonical: bool) -> SimulationTrace:
         lyapunov=lyapunov,
         det_z=det,
         terminal_status=status,
+        final_velocity=None if velocity is None else np.ravel(velocity),
     )
 
 
@@ -469,21 +506,19 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
     canonical = is_three_agent_topology(f0.graph)
     if canonical:
         d1s, d2s, cs = tv.tolist()
-        p0 = f0.config().tolist()
+        p0, combine, degenerate = tuple(f0.config().tolist()), _combine_canonical, _collocated_three
 
-        def rhs(x):
-            return _rhs_canonical(x, d1s, d2s, cs)
-
-        degenerate = _collocated_three
+        def stage(x, a, k):
+            return _rhs_canonical(x, d1s, d2s, cs, a, k)
     else:
-        shape, p0 = f0.positions.shape, f0.config()
+        p0, degenerate = f0.positions, _collocation_gate(f0.positions)
 
-        def rhs(x):
-            vel, e = _rhs_generic(x.reshape(shape), cg, tv)
-            return vel.ravel(), e
+        def stage(x, a, k):
+            return _rhs_generic(x, cg, tv, a, k)
 
-        def degenerate(x, big):
-            return min_separation(x.reshape(shape)) < collocation_tolerance_at(big)
+        def combine(x, s, k1, k2, k3, k4):  # a new array; the gate holds on to old ones
+            return x + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a step out of the float range ends the run
-        return _trace(*_rk4(p0, rhs, degenerate, cfg), canonical)
+        times, states, errs, velocity, status = _rk4(p0, stage, combine, degenerate, cfg)
+        return _trace(times, states, errs, status, canonical, velocity)

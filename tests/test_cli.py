@@ -23,8 +23,9 @@ from weakrig import (
     grow_random,
     is_minimally_weakly_rigid,
     simulate,
+    weak_rigidity_function,
 )
-from weakrig import cli
+from weakrig import cli, formation, rigidity
 from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
 from weakrig.fileio import dump_framework, load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
@@ -434,6 +435,54 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert code == 0
+
+    @staticmethod
+    def grown_files(tmp_path, sq_distance=None, cosine=None):
+        """``grow --n 12 --seed 42``, with targets of its own shape or the given constants."""
+        fw = str(tmp_path / "grown.json")
+        assert main(["grow", "--n", "12", "--seed", "42", "--out", fw]) == 0
+        f = load_framework(fw)
+        values = weak_rigidity_function(f).tolist()
+        sq = values[:f.graph.m] if sq_distance is None else [sq_distance] * f.graph.m
+        cs = values[f.graph.m:] if cosine is None else [cosine] * f.graph.q
+        tg = write_json(tmp_path / "grown_targets.json", {
+            "sq_distances": [[i, j, v] for (i, j), v in zip(f.graph.edges, sq)],
+            "cosines": [[k, i, j, v] for (k, i, j), v in zip(f.graph.angles, cs)],
+        })
+        return fw, tg
+
+    def test_far_out_degenerate_run_prints_its_summary(self, tmp_path, capsys):
+        # One step takes the state to max|p| ~ 2.5e37, where the relative
+        # collocation tolerance swallows agents about 1 apart; the summary
+        # reads the gradient off the flow and builds no framework there.
+        fw, tg = self.grown_files(tmp_path, sq_distance=1.0, cosine=0.3)
+        capsys.readouterr()
+        code = main(["simulate", fw, "--targets", tg, "--dt", "1", "--t-max", "0.2", "--json"])
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert code == 1 and summary["status"] == "degenerate" and summary["steps"] == 1
+        assert 1e113 < summary["final_gradient_norm"] < 1e114
+        assert "error" not in captured.err
+
+    def test_generic_run_makes_four_kernel_calls_per_step(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        kernel = rigidity.constraint_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "constraint_kernel", counted)
+        monkeypatch.setattr(formation, "constraint_kernel", counted)
+        fw, tg = self.grown_files(tmp_path)
+        f = load_framework(fw)
+        start = f.positions + 0.02 * np.random.default_rng(20).normal(size=f.positions.shape)
+        dump_framework(f.with_positions(start), fw)
+        calls.clear()
+        code = main(["simulate", fw, "--targets", tg, "--dt", "1e-3", "--t-max", "0.02", "--json"])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 3 and summary["status"] == "max-time" and summary["steps"] == 20
+        assert len(calls) == 4 * summary["steps"] + 1
 
 
 class TestGrow:

@@ -272,11 +272,12 @@ class TestSimulate:
     def test_degenerate_guard(self, bench_targets):
         # The continuous flow cannot collocate agents in finite time, so the
         # guard is exercised directly on a sub-tolerance state.
-        from weakrig.formation import _collocated_three, _rk4
+        from weakrig.formation import _collocated_three, _combine_canonical, _rk4
 
-        x0 = np.array([0.0, 0.0, 1e-12, 0.0, 1.0, 1.0])
+        x0 = (0.0, 0.0, 1e-12, 0.0, 1.0, 1.0)
         targets = tuple(v for _, v in bench_targets.sq_distances) + (bench_targets.cosines[0][1],)
-        *_, status = _rk4(x0, lambda x: _rhs_canonical(x, *targets), _collocated_three,
+        *_, status = _rk4(x0, lambda x, a, k: _rhs_canonical(x, *targets, a, k),
+                          _combine_canonical, _collocated_three,
                           SimulationConfig(dt=1e-3, t_max=1.0))
         assert status == "degenerate"
 

@@ -27,9 +27,10 @@ from weakrig import (
     simulate,
     weak_rigidity_function,
 )
-from weakrig.core import collocated, collocation_tolerance
+from weakrig import formation
+from weakrig.core import collocated, collocation_tolerance, min_separation
 from weakrig.fileio import CSV_BLOCK_ROWS, trace_to_csv, write_trace_csv
-from weakrig.formation import _collocated_three, _rhs_generic, _rk4, _trace
+from weakrig.formation import _collocated_three, _collocation_gate, _rhs_generic, _rk4, _trace
 from weakrig.rigidity import compile_graph
 
 from conftest import BENCH_INITIAL, BENCH_TARGETS, TRIANGLE_POS, random_positions
@@ -231,7 +232,12 @@ def canonical_trace(name):
 
 
 def generic_cases():
-    """``(start, targets, config)`` of the kernel flow: a triangle, grown n = 8 and n = 12."""
+    """``(start, targets, config)`` of the kernel flow: a triangle, grown n = 8 and n = 12,
+    then grown n = 12 on constant targets at a step that ends it ``degenerate``.
+
+    In the last run the second step takes max|p| to ~1e42, where the relative
+    collocation tolerance swallows two agents (see ``GENERIC_STATUS``).
+    """
     rng = np.random.default_rng(808)
     k3 = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
     triangle = Framework(k3, 2, random_positions(rng, 3))
@@ -244,6 +250,12 @@ def generic_cases():
                        cosines=tuple(zip(g.angles, tv[g.m:])))
         start = grown.positions + 0.02 * rng.normal(size=grown.positions.shape)
         yield grown.with_positions(start), t, SimulationConfig(dt=1e-3, t_max=0.2)
+    t = TargetSpec(sq_distances=tuple((e, 1.0) for e in g.edges),
+                   cosines=tuple((a, 0.3) for a in g.angles))
+    yield grown, t, SimulationConfig(dt=0.16, t_max=16.0)
+
+
+GENERIC_STATUS = ["max-time", "max-time", "max-time", "degenerate"]
 
 
 def generic_traces():
@@ -287,10 +299,12 @@ class TestCanonicalAgainstScalarLoop:
 
 class TestGenericAgainstArrayLoop:
     def test_trace_is_identical(self):
-        for f0, t, cfg in generic_cases():
+        cases = list(generic_cases())
+        assert len(cases) == len(GENERIC_STATUS)
+        for (f0, t, cfg), expected in zip(cases, GENERIC_STATUS):
             trace = simulate(f0, t, cfg)
             times, positions, errors, status = array_simulate_generic(f0, t, cfg)
-            assert trace.terminal_status == status == "max-time"
+            assert trace.terminal_status == status == expected
             assert np.array_equal(trace.times, times)
             assert np.array_equal(trace.positions, positions)
             assert np.array_equal(trace.errors, errors)
@@ -299,7 +313,15 @@ class TestGenericAgainstArrayLoop:
 def run_rk4(velocity, cfg, errors=lambda x: ()):
     """The loop on a constant velocity from agents at (0, 0), (1, 0), (0, 5)."""
     x0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 5.0])
-    return _rk4(x0, lambda x: (np.array(velocity), errors(x)), _collocated_three, cfg)
+
+    def stage(p, a, k):
+        return np.array(velocity), errors(p if k is None else p + a * k)
+
+    def combine(p, s, k1, k2, k3, k4):
+        return p + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    *trace, _, status = _rk4(x0, stage, combine, _collocated_three, cfg)
+    return (*trace, status)
 
 
 class TestRk4Loop:
@@ -346,6 +368,41 @@ class TestRk4Loop:
             tol = collocation_tolerance(p)
             p[1] = p[0] + rng.normal(size=2) * tol * rng.uniform(0.5, 1.5)
             assert _collocated_three(p.ravel(), float(np.abs(p).max())) == collocated(p)
+
+
+class TestCollocationGate:
+    def test_answers_as_the_full_test(self, monkeypatch):
+        # Agents 0 and 1 close along a diagonal, each coordinate moving by
+        # 1/(2 sqrt 2) of the gap's change, the fastest closing the gate's
+        # bound allows.  The gap shrinks by a random factor per state, through
+        # the tolerance; the last state but one is NaN.
+        measured = []
+        monkeypatch.setattr(formation, "min_separation",
+                            lambda p: measured.append(1) or min_separation(p))
+        rng = np.random.default_rng(31)
+        u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            x = random_positions(rng, 5) * scale
+            centre, gap = x[0].copy(), scale
+            gate = _collocation_gate(x)
+            for step in range(60):
+                x = x.copy()
+                x[0], x[1] = centre - 0.5 * gap * u, centre + 0.5 * gap * u
+                if step == 58:
+                    x[3, 0] = math.nan
+                assert gate(x, float(np.abs(x).max())) == collocated(x)
+                gap *= rng.uniform(0.05, 0.95)
+        assert len(measured) < 0.8 * 40 * 60
+
+    def test_well_separated_run_measures_rarely(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formation, "min_separation",
+                            lambda p: calls.append(1) or min_separation(p))
+        f0, t, _ = list(generic_cases())[1]
+        trace = simulate(f0, t, SimulationConfig(dt=1e-3, t_max=0.02))
+        assert trace.terminal_status == "max-time" and len(trace) == 21
+        assert len(calls) < 21
 
 
 class TestTraceCsv:
