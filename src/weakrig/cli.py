@@ -1,8 +1,8 @@
 """weakrig command line: analyze, simulate, grow, check-gradient.
 
-Exit codes form a stable contract: 0 success/rigid, 1 error, 2 not rigid
-(or failed gradient check), 3 timeout, 4 converged to an incorrect
-equilibrium.
+Exit codes form a stable contract: 0 success/rigid, 1 error (a usage
+error too), 2 not rigid (or failed gradient check), 3 timeout, 4
+converged to an incorrect equilibrium.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from .formation import (
     is_three_agent_topology,
     simulate,
 )
-from .henneberg import MIN_ANGLE_DEG, grow_random
+from .henneberg import DEFAULT_MIX, MIN_ANGLE_DEG, grow_random
 from .rigidity import (
+    DEFAULT_FD_STEP,
+    DEFAULT_RANK_TOL,
     classify_infinitesimal_weak_rigidity,
     finite_difference_weak_rigidity_matrix,
     weak_rigidity_matrix,
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="rank-test a framework file for weak rigidity")
     p.add_argument("framework", help="framework JSON file")
     p.add_argument("--tol", type=_number("--tol", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-                   default=1e-9, help="relative singular-value tolerance (default 1e-9)")
+                   default=DEFAULT_RANK_TOL,
+                   help="relative singular-value tolerance (default %(default)g)")
     p.add_argument("--mode", choices=["auto", "2d", "3d"], default="auto",
                    help="2d or 3d must match the file's dim (default: the test for the file's dim)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -77,11 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the gradient formation flow")
     p.add_argument("framework", help="framework JSON file (initial condition)")
     p.add_argument("--targets", required=True, help="target JSON file")
-    p.add_argument("--dt", type=_positive("--dt"), default=1e-3)
+    p.add_argument("--dt", type=_positive("--dt"), default=SimulationConfig.dt,
+                   help="RK4 time step (default %(default)g)")
     p.add_argument("--t-max", type=_number("--t-max", lambda v: v >= 0.0, "finite and >= 0"),
-                   default=50.0)
-    p.add_argument("--eps", type=_positive("--eps"), default=1e-8,
-                   help="convergence threshold on ||e||")
+                   default=SimulationConfig.t_max, help="time horizon (default %(default)g)")
+    p.add_argument("--eps", type=_positive("--eps"), default=SimulationConfig.convergence_eps,
+                   help="convergence threshold on ||e|| (default %(default)g)")
     p.add_argument("--out", help="write the trace as CSV to this path")
     p.add_argument("--json", action="store_true", help="emit the summary as JSON")
 
@@ -90,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, help="RNG seed (>= 0)",
                    type=_number("--seed", lambda v: v >= 0, "a non-negative integer", int))
     p.add_argument("--mix", type=_number("--mix", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-                   default=0.5,
-                   help="probability of a 0-extension per step (default 0.5); from the K3 "
+                   default=DEFAULT_MIX,
+                   help="probability of a 0-extension per step (default %(default)g); from the K3 "
                         "seed at most one 1-extension happens, so this only moves when it does")
     p.add_argument("--out", help="write the final framework JSON here")
     p.add_argument("--log", help="write the growth log (one JSON step per line) here")
@@ -102,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "distance); passes when max |analytic - finite difference| "
                                    "< 1e-6 in that unit.")
     p.add_argument("framework", help="framework JSON file")
-    p.add_argument("--fd-step", type=_positive("--fd-step"), default=1e-6,
-                   help="finite-difference step, in the unit above (default 1e-6)")
+    p.add_argument("--fd-step", type=_positive("--fd-step"), default=DEFAULT_FD_STEP,
+                   help="finite-difference step, in the unit above (default %(default)g)")
 
     return parser
 
@@ -214,7 +218,10 @@ def cmd_check_gradient(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is 2, which here means "not rigid"
+        return EXIT_ERROR if exc.code else EXIT_OK  # --help exits 0
     handlers = {
         "analyze": cmd_analyze,
         "simulate": cmd_simulate,

@@ -57,12 +57,13 @@ def _atomic_write(path: str, text: str | Iterable[str]) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document in ``path``; a file that cannot be read or decoded is a ParseError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -217,12 +218,11 @@ def report_to_json(report: RigidityReport) -> str:
 
 
 def format_row_label(label) -> str:
+    """``d_i_j`` for a distance row; a row label is otherwise a cosine, ``cos_k_i_j``."""
     kind, key = label
     if kind == "distance":
         return f"d_{key[0]}_{key[1]}"
-    if kind == "cosine":
-        return f"cos_{key[0]}_{key[1]}_{key[2]}"
-    return "_".join([kind, *map(str, key)])
+    return f"cos_{key[0]}_{key[1]}_{key[2]}"
 
 
 def matrix_to_csv(matrix, row_labels=None) -> str:

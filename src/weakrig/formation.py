@@ -21,6 +21,7 @@ from .core import (Framework, Graph, angle_key, build_graph, collocation_toleran
                    min_separation, stable_norm)
 from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
+    DEFAULT_FD_STEP,
     CompiledGraph,
     central_differences,
     compile_graph,
@@ -140,43 +141,38 @@ def control_law(f: Framework, t: TargetSpec) -> np.ndarray:
     return -constraint_kernel(f.positions, _compile_for_flow(f), tv)[2].ravel()
 
 
-def _cosine_coefficients(p: np.ndarray):
-    """Coefficients of p0, p1, p2 in the three cosine-gradient rows.
+def _edge_weights(f: Framework, t: TargetSpec) -> tuple[float, float, float]:
+    """The edge weights ``(w1, w2, w3)`` of :func:`e_matrix_three_agent`.
 
-    The gradient of the apex-0 cosine with respect to each agent position
-    expands uniquely in the position basis with coefficients summing to
-    zero per row; these scalars populate the three-agent coefficient
-    matrix.
+    With ``z1 = p1 - p0``, ``z2 = p2 - p0``, ``c`` the cosine at agent 0 and errors
+    ``e01, e02, ec``: ``w1 = 2 e01 - ec c/|z1|^2``, ``w2 = 2 e02 - ec c/|z2|^2`` and
+    ``w3 = ec/(|z1| |z2|)``.  Agent 1 moves by ``-(w1 z1 + w3 z2)``, as edge 01's row gives
+    ``2 e01 z1`` and the cosine's gradient there is ``z2/(|z1| |z2|) - c z1/|z1|^2``; agent
+    2 likewise by ``-(w2 z2 + w3 z1)``, and agent 0 by minus their sum.
     """
-    u = p[1] - p[0]
-    v = p[2] - p[0]
-    nu2 = float(u @ u)
-    nv2 = float(v @ v)
-    inv = 1.0 / math.sqrt(nu2 * nv2)
-    c = float(u @ v) * inv
-    a_u = c / nu2
-    a_v = c / nv2
-    alpha = (2.0 * inv - a_u - a_v, a_u - inv, a_v - inv)
-    beta = (a_u - inv, -a_u, inv)
-    gamma = (a_v - inv, inv, -a_v)
-    return alpha, beta, gamma
+    if not is_three_agent_topology(f.graph):
+        raise WrongTopology("E(p) and det Z are defined for the canonical three-agent topology")
+    e01, e02, ec = error_vector(f, t).values.tolist()
+    z1, z2 = f.positions[1:] - f.positions[0]
+    n1, n2 = float(z1 @ z1), float(z2 @ z2)
+    inv = 1.0 / math.sqrt(n1 * n2)
+    c = float(z1 @ z2) * inv
+    return 2.0 * e01 - ec * c / n1, 2.0 * e02 - ec * c / n2, ec * inv
 
 
 def e_matrix_three_agent(f: Framework, t: TargetSpec) -> np.ndarray:
-    """Symmetric 3x3 coefficient matrix E with ``-R_W^T e = -(E (x) I_2) p``."""
-    if not is_three_agent_topology(f.graph):
-        raise WrongTopology("E(p) is defined for the canonical three-agent topology")
-    ev = error_vector(f, t).values
-    e01, e02, ec = float(ev[0]), float(ev[1]), float(ev[2])
-    alpha, beta, gamma = _cosine_coefficients(f.positions)
-    return np.array([
-        [2 * e01 + 2 * e02 + alpha[0] * ec, -2 * e01 + alpha[1] * ec, -2 * e02 + alpha[2] * ec],
-        [-2 * e01 + beta[0] * ec, 2 * e01 + beta[1] * ec, beta[2] * ec],
-        [-2 * e02 + gamma[0] * ec, gamma[1] * ec, 2 * e02 + gamma[2] * ec],
-    ])
+    """Symmetric 3x3 coefficient matrix E with ``-R_W^T e = -(E (x) I_2) p``.
+
+    ``E = w1 L01 + w2 L02 + w3 (L01 + L02 - L12)`` (:func:`_edge_weights`, ``Lij`` the
+    Laplacian of edge ``ij``): the Laplacian of the triangle with edge weights ``w1 + w3``,
+    ``w2 + w3`` and ``-w3``, symmetric with zero row sums by construction.
+    """
+    w1, w2, w3 = _edge_weights(f, t)
+    a, b, c = w1 + w3, w2 + w3, -w3  # the weights of edges 01, 02, 12
+    return np.array([[a + b, -a, -b], [-a, a + c, -c], [-b, -c, b + c]])
 
 
-def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = 1e-6) -> np.ndarray:
+def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Negative Jacobian of the flow by central differences of the control law.
 
     Equals the Hessian of the potential, so it is symmetric up to the
@@ -184,12 +180,6 @@ def flow_jacobian(f: Framework, t: TargetSpec, fd_step: float = 1e-6) -> np.ndar
     """
     tv, cg = _target_values(f, t), _compile_for_flow(f)
     return central_differences(lambda p: constraint_kernel(p, cg, tv)[2], f.positions, fd_step)
-
-
-def collinearity_tolerance(f: Framework) -> float:
-    d01 = float(np.sum((f.positions[0] - f.positions[1]) ** 2))
-    d02 = float(np.sum((f.positions[0] - f.positions[2]) ** 2))
-    return COLLINEARITY_REL_TOL * (1.0 + max(d01, d02))
 
 
 def _det(positions: np.ndarray) -> np.ndarray:
@@ -209,15 +199,11 @@ def det_z(f: Framework, t: TargetSpec) -> DetZ:
     """Determinant of the two constrained edge vectors and its decay rate.
 
     Along the flow, ``d/dt det = -sigma * det``, so collinearity
-    (``det = 0``) is invariant.  ``sigma`` is read off the coefficient
-    matrix :func:`e_matrix_three_agent`.
+    (``det = 0``) is invariant.  ``z_k' = sum_j (E_0j - E_kj) z_j`` and E's
+    zero row sums give ``sigma = E11 + E22 - E01 - E02 = 2 (w1 + w2 + w3)``.
     """
-    if not is_three_agent_topology(f.graph):
-        raise WrongTopology("det Z is defined for the canonical three-agent topology")
-    # z_k' = sum_j (E_0j - E_kj) z_j and E's zero row sums give the rate
-    E = e_matrix_three_agent(f, t)
-    sigma = float(E[1, 1] + E[2, 2] - E[0, 1] - E[0, 2])
-    return DetZ(det=float(_det(f.positions)), sigma=sigma)
+    w1, w2, w3 = _edge_weights(f, t)
+    return DetZ(det=float(_det(f.positions)), sigma=2.0 * (w1 + w2 + w3))
 
 
 @dataclass(frozen=True)
@@ -230,11 +216,15 @@ class EquilibriumReport:
 
 
 def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> EquilibriumReport:
-    """Classify a three-agent state as desired / incorrect / not an equilibrium."""
+    """Classify a three-agent state as desired / incorrect / not an equilibrium.
+
+    Collinear is ``|det Z| < COLLINEARITY_REL_TOL * (1 + max(d01, d02))``, the
+    squared lengths read off the one kernel call.
+    """
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("equilibrium classification needs the three-agent topology")
-    tv = _target_values(f, t)
-    values, _, grad = constraint_kernel(f.positions, _compile_for_flow(f), tv)
+    tv, cg = _target_values(f, t), _compile_for_flow(f)
+    values, _, grad = constraint_kernel(f.positions, cg, tv)
     enorm, gnorm = float(stable_norm(values - tv)), float(stable_norm(grad))
     if enorm < tol:
         kind = "desired"
@@ -242,9 +232,10 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
         kind = "incorrect"
     else:
         kind = "not-equilibrium"
-    J = flow_jacobian(f, t)
+    J = central_differences(lambda p: constraint_kernel(p, cg, tv)[2], f.positions, DEFAULT_FD_STEP)
     min_eig = float(np.linalg.eigvalsh(0.5 * (J + J.T))[0])
-    collinear = abs(float(_det(f.positions))) < collinearity_tolerance(f)
+    d01, d02 = values[:2].tolist()
+    collinear = abs(float(_det(f.positions))) < COLLINEARITY_REL_TOL * (1.0 + max(d01, d02))
     return EquilibriumReport(
         kind=kind,
         min_jacobian_eig=min_eig,

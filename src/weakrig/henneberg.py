@@ -32,6 +32,7 @@ from .errors import (
 from .rigidity import compile_graph, constraint_kernel, is_minimally_weakly_rigid
 
 MIN_ANGLE_DEG = 5.0
+DEFAULT_MIX = 0.5  # probability of a 0-extension per growth step
 MAX_ABS_COSINE = math.cos(math.radians(MIN_ANGLE_DEG))
 MIN_SEPARATION_FRACTION = 0.1
 MAX_PLACEMENT_ATTEMPTS = 1000
@@ -240,7 +241,8 @@ def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> st
     return None
 
 
-def grow_random(seed_framework: Framework, steps: int, rng_seed: int, mix: float = 0.5) -> GrowthResult:
+def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
+                mix: float = DEFAULT_MIX) -> GrowthResult:
     """Grow a minimally weakly rigid framework by random extensions.
 
     ``mix`` is the probability of choosing a 0-extension; 1-extensions fall

@@ -25,6 +25,7 @@ from .core import Framework, Graph, collocated, collocation_tolerance, min_separ
 from .errors import CollocatedPoints, DegenerateConfiguration, EmptyEdgeSet
 
 DEFAULT_RANK_TOL = 1e-9
+DEFAULT_FD_STEP = 1e-6  # central-difference step of the finite-difference Jacobians
 
 RowLabel = tuple[str, tuple]
 
@@ -195,7 +196,8 @@ def central_differences(func, positions: np.ndarray, step: float) -> np.ndarray:
     return ((rows[:size] - rows[size:]) / (2.0 * step)).T
 
 
-def finite_difference_weak_rigidity_matrix(f: Framework, step: float = 1e-6) -> np.ndarray:
+def finite_difference_weak_rigidity_matrix(f: Framework,
+                                           step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central finite differences of the weak rigidity function.
 
     Independent cross-check for the analytic matrix; used by the gradient

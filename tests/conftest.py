@@ -31,6 +31,13 @@ RHOMBUS_VARIANTS = {
 BENCH_INITIAL = np.array([[-3.0, 0.0], [1.0, 1.0], [-1.0, -3.0]])
 BENCH_TARGETS = (8.0, 9.0, math.cos(math.radians(40.0)))
 
+# Files JSON cannot decode other than by a syntax error: (bytes, what the error says).
+UNDECODABLE_JSON = {
+    "not-utf8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    "too-many-digits": (b'{"dim": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    "too-deep": (b"[" * 100_000, "maximum recursion depth exceeded"),
+}
+
 
 def rhombus_framework(variant: str) -> Framework:
     edges, angles = RHOMBUS_VARIANTS[variant]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import warnings
 
@@ -30,7 +31,13 @@ from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
 from weakrig.fileio import dump_framework, load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
 
-from conftest import BENCH_INITIAL, BENCH_TARGETS, RHOMBUS_POS, RHOMBUS_VARIANTS
+from conftest import (
+    BENCH_INITIAL,
+    BENCH_TARGETS,
+    RHOMBUS_POS,
+    RHOMBUS_VARIANTS,
+    UNDECODABLE_JSON,
+)
 
 
 def write_json(path, payload) -> str:
@@ -624,6 +631,61 @@ class TestUnwritableOutput:
                 bench_target_file(tmp_path), "--t-max", "0.01", "--out", str(path)]
         assert main(argv) == 1
         self.assert_one_error_line(capsys, path)
+
+
+class TestUndecodableInput:
+    """A file JSON cannot decode gives exit 1 and one error line that names it, no traceback."""
+
+    @pytest.mark.parametrize("case", list(UNDECODABLE_JSON))
+    @pytest.mark.parametrize("role", ["framework", "targets"])
+    def test_one_error_line(self, tmp_path, capsys, role, case):
+        content, reason = UNDECODABLE_JSON[case]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        fw = str(bad) if role == "framework" else bench_framework_file(tmp_path)
+        targets = str(bad) if role == "targets" else bench_target_file(tmp_path)
+        assert main(["simulate", fw, "--targets", targets]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {bad}: {reason}") and captured.out == ""
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1, an error; 2 would read as "not rigid"."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["analyze"],
+        ["analyze", "fw.json", "--tol", "5"],
+        ["simulate", "fw.json"],
+        ["grow", "--n", "5", "--seed", "1", "--mix", "2"],
+        ["check-gradient", "fw.json", "--fd-step", "0"],
+        ["analyze", "fw.json", "--no-such-option"],
+    ])
+    def test_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: weakrig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["grow", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: weakrig")
+
+
+def default_of(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    analyze = parse(["analyze", "fw.json"])
+    assert analyze.tol == default_of(classify_infinitesimal_weak_rigidity, "rel_tol")
+    sim, cfg = parse(["simulate", "fw.json", "--targets", "t.json"]), SimulationConfig()
+    assert (sim.dt, sim.t_max, sim.eps) == (cfg.dt, cfg.t_max, cfg.convergence_eps)
+    assert parse(["grow", "--n", "5", "--seed", "1"]).mix == default_of(grow_random, "mix")
+    fd_step = parse(["check-gradient", "fw.json"]).fd_step
+    assert fd_step == default_of(rigidity.finite_difference_weak_rigidity_matrix, "step")
+    assert fd_step == default_of(formation.flow_jacobian, "fd_step")
 
 
 class TestParserBuiltOnce:

@@ -31,7 +31,7 @@ from weakrig.fileio import (
 )
 from weakrig.rigidity import compile_graph
 
-from conftest import TRIANGLE_POS
+from conftest import TRIANGLE_POS, UNDECODABLE_JSON
 
 
 @pytest.fixture
@@ -197,6 +197,22 @@ class TestTargetFiles:
         assert t.sq_distances == (((0, 1), 4.0), ((0, 2), 5.0))
 
 
+class TestUndecodableFiles:
+    """Bytes the JSON decoder rejects without a line and column are a ParseError naming the file."""
+
+    @pytest.mark.parametrize("case", list(UNDECODABLE_JSON))
+    @pytest.mark.parametrize("load", [load_framework,
+                                      lambda path: load_targets(path, FUZZ_GRAPH)],
+                             ids=["framework", "targets"])
+    def test_parse_error_names_the_file(self, tmp_path, load, case):
+        content, reason = UNDECODABLE_JSON[case]
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        assert str(exc.value).startswith(f"{path}: {reason}")
+
+
 class TestMatrixCsv:
     def test_labeled_export(self, mixed_framework):
         from weakrig import weak_rigidity_matrix
@@ -321,6 +337,12 @@ def edits_of(document):
 
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
+# Whole files: any bytes, or a (possibly edited) document cut short and followed by any bytes.
+RAW_FILES = st.binary(max_size=64) | st.builds(
+    lambda document, cut, tail: json.dumps(document).encode()[:cut] + tail,
+    edits_of(FRAMEWORK_DOCUMENT) | edits_of(TARGET_DOCUMENT), st.integers(0, 200),
+    st.binary(max_size=8))
+
 
 class TestParseFuzz:
     def test_unedited_documents_parse(self):
@@ -342,6 +364,17 @@ class TestParseFuzz:
             targets_from_dict(data, FUZZ_GRAPH)
         except WeakRigError:
             pass
+
+    @FUZZ_SETTINGS
+    @given(RAW_FILES)
+    def test_file_bytes_raise_only_parse_errors(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_bytes(content)
+        for load in (load_framework, lambda p: load_targets(p, FUZZ_GRAPH)):
+            try:
+                load(str(path))
+            except ParseError:
+                pass
 
 
 # One fault per input: the error each entry point raises for it, type and full message.

@@ -26,6 +26,7 @@ from weakrig import (
     realize_canonical_targets,
     simulate,
 )
+from weakrig import formation
 from weakrig.formation import _det, _rhs_canonical, _rhs_generic, _trace
 from weakrig.rigidity import compile_graph
 
@@ -111,10 +112,11 @@ class TestControlLaw:
 
 class TestEMatrix:
     def test_symmetric(self):
+        # E is built as a weighted triangle Laplacian, so E_ij and E_ji are one float.
         rng = np.random.default_rng(107)
         for _ in range(100):
             E = e_matrix_three_agent(random_three_agent_state(rng), random_targets(rng))
-            assert np.max(np.abs(E - E.T)) < 1e-12
+            assert np.array_equal(E, E.T)
 
     def test_zero_at_zero_error(self, bench_targets):
         f = realize_canonical_targets(bench_targets)
@@ -328,6 +330,15 @@ class TestDetZ:
             assert det == z1[0] * z2[1] - z1[1] * z2[0]
             assert _det(p) == det
 
+    def test_sigma_is_read_off_the_e_matrix(self):
+        # The rate's definition: z_k' = sum_j (E_0j - E_kj) z_j with zero row sums.
+        rng = np.random.default_rng(142)
+        for _ in range(100):
+            f, t = random_three_agent_state(rng), random_targets(rng)
+            E = e_matrix_three_agent(f, t)
+            want = E[1, 1] + E[2, 2] - E[0, 1] - E[0, 2]
+            assert det_z(f, t).sigma == pytest.approx(want, rel=1e-12)
+
     def test_decay_identity_along_trace(self, bench_targets):
         # Start near the target and skip the fast transient (modes decaying
         # at rates up to ~100/s) so the centered difference of the sampled
@@ -389,6 +400,34 @@ class TestClassifyEquilibrium:
         assert report.kind == "incorrect"
         assert report.collinear
         assert report.min_jacobian_eig < 0.0
+
+    def test_targets_checked_once(self, monkeypatch, bench_targets):
+        calls = []
+        checked = formation._target_values
+        monkeypatch.setattr(formation, "_target_values",
+                            lambda f, t: calls.append(1) or checked(f, t))
+        classify_equilibrium(Framework(canonical_three_agent_graph(), 2, TRIANGLE_POS),
+                             bench_targets)
+        assert len(calls) == 1
+
+    def test_collinear_flag_is_the_relative_det_bound(self):
+        # |det Z| against 1e-8 (1 + the larger squared constrained length),
+        # measured here from the positions; half the states sit within a
+        # random distance of collinear, so both answers occur.
+        rng = np.random.default_rng(153)
+        g = canonical_three_agent_graph()
+        flags = []
+        for k in range(200):
+            p = rng.uniform(-3.0, 3.0, size=(3, 2)) * 10.0 ** rng.uniform(-2, 2)
+            if k % 2:
+                p[2] = p[0] + rng.uniform(-2.0, 2.0) * (p[1] - p[0])
+                p[2] += 10.0 ** rng.uniform(-12, -4) * rng.normal(size=2)
+            f = Framework(g, 2, p)
+            report = classify_equilibrium(f, random_targets(rng))
+            scale = 1.0 + max(np.sum((p[0] - p[1]) ** 2), np.sum((p[0] - p[2]) ** 2))
+            assert report.collinear == (abs(float(_det(f.positions))) < 1e-8 * scale)
+            flags.append(report.collinear)
+        assert 0 < sum(flags) < 200
 
 
 class TestRealize:
