@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .core import Framework, build_graph, min_separation, stable_norm
+from .core import Framework, build_graph, coordinate_dot, min_separation, stable_norm
 from .errors import WeakRigError
 from .formation import (
     SimulationConfig,
@@ -207,7 +207,7 @@ def cmd_check_gradient(args) -> int:
     # so the unit is the geometric mean of the spread and the closest pair.
     p = f.positions - f.positions.mean(axis=0)
     if f.n > 1:
-        radius = math.sqrt(float(np.mean(np.add.reduce(p * p, axis=1))))
+        radius = math.sqrt(float(np.mean(coordinate_dot(p, p))))
         p = p / math.sqrt(radius * min_separation(p))
     f = f.with_positions(p)
     analytic = weak_rigidity_matrix(f).matrix

@@ -24,6 +24,7 @@ from .errors import (
 
 # Two points closer than this (relative to coordinate magnitude) count as one.
 COLLOCATION_REL_TOL = 1e-9
+_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)  # read-only ufunc operands
 
 Edge = tuple[int, int]
 AngleTriple = tuple[int, int, int]
@@ -123,6 +124,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+def coordinate_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a * b, axis=-1)`` bit for bit, as column adds (cheaper on small arrays)."""
+    ab = a * b  # the reduction adds to +0.0 first, so all -0.0 terms give +0.0; no square is -0.0
+    s = (ab[..., 0] if a is b else _ZERO + ab[..., 0]) + ab[..., 1]
+    for c in range(2, ab.shape[-1]):
+        s += ab[..., c]
+    return s
+
+
 def min_separation(positions: np.ndarray) -> float:
     """Smallest pairwise distance between the given points (``inf`` for one point)."""
     positions = np.asarray(positions, float)
@@ -131,7 +141,7 @@ def min_separation(positions: np.ndarray) -> float:
         return math.inf
     i, j = _pairs(n)
     diff = positions[i] - positions[j]
-    return math.sqrt(np.add.reduce(diff * diff, axis=-1).min())
+    return math.sqrt(coordinate_dot(diff, diff).min())
 
 
 def stable_norm(a: np.ndarray, axis: int | None = None):

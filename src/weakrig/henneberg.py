@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Framework, Graph, angle_key, edge_key
+from .core import Framework, Graph, angle_key, coordinate_dot, edge_key
 from .errors import (
     BadAnchor,
     CollinearPlacement,
@@ -231,7 +231,7 @@ def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> st
     """
     p = candidate.positions
     gap = p[:-1] - p[-1]
-    if math.sqrt(np.add.reduce(gap * gap, axis=1).min()) < MIN_SEPARATION_FRACTION * diameter:
+    if math.sqrt(coordinate_dot(gap, gap).min()) < MIN_SEPARATION_FRACTION * diameter:
         return TOO_CLOSE
     touched = p.take((*step.anchors[:2], step.new_vertex, *step.anchors[2:]), axis=0)
     if np.abs(constraint_kernel(touched, _NEW_ANGLES[step.kind])[0]).max() >= MAX_ABS_COSINE:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Framework, Graph, collocated, collocation_tolerance, min_separation
+from .core import (_MINUS_ONE, _ONE, Framework, Graph, collocated, collocation_tolerance,
+                   coordinate_dot, min_separation)
 from .errors import CollocatedPoints, DegenerateConfiguration, EmptyEdgeSet
 
 DEFAULT_RANK_TOL = 1e-9
@@ -68,6 +69,8 @@ class CompiledGraph:
     """
 
     graph: Graph
+    m: int
+    q: int
     tails: np.ndarray = field(repr=False)
     heads: np.ndarray = field(repr=False)
     block_rows: np.ndarray = field(repr=False)
@@ -87,11 +90,11 @@ def compile_graph(g: Graph, dim: int = 2) -> CompiledGraph:
             raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
     ei, ej = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     k, i, j = np.array(g.angles, dtype=np.intp).reshape(-1, 3).T
-    edge_rows, angle_rows = np.arange(g.m), np.arange(g.m, g.m + g.q)
-    block_rows = np.concatenate([edge_rows, edge_rows, angle_rows, angle_rows, angle_rows])
+    e_rows, a_rows = np.arange(g.m), np.arange(g.m, g.m + g.q)
+    block_rows = np.concatenate([e_rows, e_rows, a_rows, a_rows, a_rows])[:, None].repeat(dim, 1)
     block_cols = np.concatenate([ei, ej, k, i, j])[:, None] * dim + np.arange(dim)
-    return CompiledGraph(g, np.concatenate([ei, i, j]), np.concatenate([ej, k, k]),
-                         block_rows, block_cols, block_rows[:, None] * (g.n * dim) + block_cols)
+    return CompiledGraph(g, g.m, g.q, np.concatenate([ei, i, j]), np.concatenate([ej, k, k]),
+                         block_rows, block_cols, block_rows * (g.n * dim) + block_cols)
 
 
 def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=False):
@@ -107,33 +110,35 @@ def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=F
     Parts not asked for are None.  The positions are trusted: collocation
     is checked where a configuration is made (:class:`Framework`,
     :func:`central_differences`), and the flow tests each state it records.
+    Each numpy call costs more than its arithmetic: no reduction over the
+    coordinate axis, blocks written in place, every sum in its order.
     """
-    m, q = cg.graph.m, cg.graph.q
+    m, q, lead, (n, d) = cg.m, cg.q, positions.shape[:-2], positions.shape[-2:]
     z = positions.take(cg.tails, axis=-2) - positions.take(cg.heads, axis=-2)
-    sq = np.add.reduce(z * z, axis=-1)
-    za, zb = z[..., m:m + q, :], z[..., m + q:, :]
-    na2, nb2 = sq[..., m:m + q], sq[..., m + q:]
-    inv = 1.0 / np.sqrt(na2 * nb2)
-    cos = np.add.reduce(za * zb, axis=-1) * inv
+    sq = coordinate_dot(z, z)
+    rays, n2 = z[..., m:, :].reshape(lead + (2, q, d)), sq[..., m:].reshape(lead + (2, q))
+    inv = _ONE / np.sqrt(n2[..., 0, :] * n2[..., 1, :])
+    cos = coordinate_dot(rays[..., 0, :, :], rays[..., 1, :, :]) * inv
     values = sq[..., :m + q].copy()  # the edges' squared lengths, then room for the cosines
-    np.minimum(np.maximum(cos, -1.0), 1.0, out=values[..., m:])  # np.clip, minus its dispatch
+    np.minimum(np.maximum(cos, _MINUS_ONE), _ONE, out=values[..., m:])  # np.clip minus its dispatch
     if not matrix and target_values is None:
         return values, None, None
-    inv, cos = inv[..., None], cos[..., None]
-    g_i = zb * inv - za * cos / na2[..., None]  # gradient of the cosine at ray tip i
-    g_j = za * inv - zb * cos / nb2[..., None]
-    edge = 2.0 * z[..., :m, :]
-    blocks = np.concatenate([edge, -edge, -(g_i + g_j), g_i, g_j], axis=-2)
-    lead, size = positions.shape[:-2], positions.shape[-2] * positions.shape[-1]
+    blocks = np.empty(lead + (2 * m + 3 * q, d))
+    np.add(z[..., :m, :], z[..., :m, :], out=blocks[..., :m, :])  # 2 z, exactly
+    np.negative(blocks[..., :m, :], out=blocks[..., m:2 * m, :])
+    tips = blocks[..., 2 * m + q:, :].reshape(lead + (2, q, d))  # gradients at tips i, j
+    np.subtract(rays[..., ::-1, :, :] * inv[..., None, :, None],
+                rays * cos[..., None, :, None] / n2[..., None], out=tips)
+    np.negative(tips[..., 0, :, :] + tips[..., 1, :, :], out=blocks[..., 2 * m:2 * m + q, :])
     R = grad = None
     if matrix:
-        R = np.zeros(lead + (m + q, size))
+        R = np.zeros(lead + (m + q, n * d))
         R.reshape(lead + (-1,))[..., cg.block_entries] = blocks
     if target_values is not None:
-        weights = blocks * (values - target_values).take(cg.block_rows, axis=-1)[..., None]
+        weights = blocks * (values - target_values).take(cg.block_rows, axis=-1)
         cols = cg.block_cols
         if lead:  # one run of bins per configuration
-            cols = cols + np.arange(0, positions.size, size).reshape(lead + (1, 1))
+            cols = cols + np.arange(0, positions.size, n * d).reshape(lead + (1, 1))
         grad = np.bincount(cols.ravel(), weights.ravel(), minlength=positions.size)
         grad = grad.reshape(positions.shape)
     return values, R, grad

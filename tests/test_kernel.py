@@ -135,6 +135,44 @@ def loop_central_differences(func, positions, step: float) -> np.ndarray:
     return np.column_stack([(at(x + h) - at(x - h)) / (2.0 * step) for h in np.eye(x.size) * step])
 
 
+def reference_kernel(positions, cg, target_values=None, matrix=False):
+    """The kernel body before its numpy calls were cut, to pin the new one's bits.
+
+    Sums over the coordinate axis by ``np.add.reduce``, each ray's cosine
+    gradient on its own, and the blocks joined by ``np.concatenate``; it
+    reads one row index per block from ``cg.block_rows``.
+    """
+    m, q = cg.graph.m, cg.graph.q
+    z = positions.take(cg.tails, axis=-2) - positions.take(cg.heads, axis=-2)
+    sq = np.add.reduce(z * z, axis=-1)
+    za, zb = z[..., m:m + q, :], z[..., m + q:, :]
+    na2, nb2 = sq[..., m:m + q], sq[..., m + q:]
+    inv = 1.0 / np.sqrt(na2 * nb2)
+    cos = np.add.reduce(za * zb, axis=-1) * inv
+    values = sq[..., :m + q].copy()
+    np.minimum(np.maximum(cos, -1.0), 1.0, out=values[..., m:])
+    if not matrix and target_values is None:
+        return values, None, None
+    inv, cos = inv[..., None], cos[..., None]
+    g_i = zb * inv - za * cos / na2[..., None]
+    g_j = za * inv - zb * cos / nb2[..., None]
+    edge = 2.0 * z[..., :m, :]
+    blocks = np.concatenate([edge, -edge, -(g_i + g_j), g_i, g_j], axis=-2)
+    lead, size = positions.shape[:-2], positions.shape[-2] * positions.shape[-1]
+    R = grad = None
+    if matrix:
+        R = np.zeros(lead + (m + q, size))
+        R.reshape(lead + (-1,))[..., cg.block_entries] = blocks
+    if target_values is not None:
+        weights = blocks * (values - target_values).take(cg.block_rows[:, 0], axis=-1)[..., None]
+        cols = cg.block_cols
+        if lead:
+            cols = cols + np.arange(0, positions.size, size).reshape(lead + (1, 1))
+        grad = np.bincount(cols.ravel(), weights.ravel(), minlength=positions.size)
+        grad = grad.reshape(positions.shape)
+    return values, R, grad
+
+
 # ---------------------------------------------------------------------------
 # cases
 
@@ -302,6 +340,52 @@ class TestStackedKernel:
         values, R, grad = constraint_kernel(stack, compile_graph(build_graph(3)), np.zeros(0), True)
         assert values.shape == (2, 0) and R.shape == (2, 0, 6)
         assert np.array_equal(grad, np.zeros((2, 3, 2)))
+
+
+class TestKernelBitsAgainstReference:
+    """The kernel gives the reference kernel's bits, signed zeros included."""
+
+    @staticmethod
+    def assert_same_bits(positions, cg, tv):
+        for matrix, targets in ((False, None), (True, tv)):
+            got = constraint_kernel(positions, cg, targets, matrix)
+            want = reference_kernel(positions, cg, targets, matrix)
+            assert (got[1] is None) == (want[1] is None) and (got[2] is None) == (want[2] is None)
+            for part, ref in zip(got, want):
+                if ref is not None:
+                    assert np.array_equal(part, ref)
+                    assert np.array_equal(np.signbit(part), np.signbit(ref))
+
+    @staticmethod
+    def configurations(f, rng):
+        """``f``'s positions and its 3D lift at three scales, offset, single and stacked."""
+        lifted = np.column_stack([f.positions, rng.uniform(-1.0, 1.0, f.graph.n)])
+        for p in (f.positions, lifted):
+            for scale in (1e-3, 1.0, 1e4):
+                moved = scale * (p + rng.normal(size=p.shape[-1]))
+                yield moved
+                for lead in ((5,), (3, 4)):
+                    yield perturbed_stack(moved, lead, rng)
+
+    def test_grown_frameworks_and_their_parts(self, cases):
+        rng = np.random.default_rng(4848)
+        for f, tv in cases:
+            for p in self.configurations(f, rng):
+                cg = compile_graph(f.graph, p.shape[-1])
+                self.assert_same_bits(p, cg, tv * rng.uniform(0.5, 1.5))
+
+    def test_signed_zeros(self):
+        # Axis-aligned sides: the right angle at vertex 0 has the ray products
+        # (-0.0, -0.0), and zero coordinates of both signs reach every block.
+        # In the lift its ray tips' gradients have z = +0.0 and -0.0.
+        g = build_graph(4, edges=[(0, 1), (2, 3)], angles=[(0, 1, 2), (1, 0, 3), (3, 1, 2)])
+        p = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, -0.0], [-0.0, 0.0]])
+        lifted = np.column_stack([p, [0.0, -0.0, 0.0, -0.0]])
+        for positions in (p, -p, p[:, ::-1], np.stack([p, -p, p[:, ::-1]]),
+                          lifted, np.stack([lifted, -lifted])):
+            self.assert_same_bits(positions, compile_graph(g, positions.shape[-1]), np.zeros(5))
+        R = constraint_kernel(lifted, compile_graph(g, 3), matrix=True)[1]
+        assert np.signbit(R[R == 0.0]).any()
 
 
 class TestCentralDifferencesAgainstLoop:
