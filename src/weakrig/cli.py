@@ -63,8 +63,13 @@ def _positive(name):
     return _number(name, lambda v: v > 0.0, "finite and positive")
 
 
-@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # one parser per process: parsing leaves it unchanged
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser, which the full one delegates to."""
     parser = argparse.ArgumentParser(prog="weakrig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd-step", type=_positive("--fd-step"), default=DEFAULT_FD_STEP,
                    help="finite-difference step, in the unit above (default %(default)g)")
 
-    return parser
+    return parser, sub.choices
 
 
 def cmd_analyze(args) -> int:
@@ -218,8 +223,16 @@ def cmd_check_gradient(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in commands:  # what the full parser would do, minus its own pass
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            args.command = argv[0]
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:  # no command, --help, an unknown command or a leading option
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's usage error is 2, which here means "not rigid"
         return EXIT_ERROR if exc.code else EXIT_OK  # --help exits 0
     handlers = {

@@ -79,12 +79,12 @@ def _is_finite(v) -> bool:
         return False
 
 
-def _value(v, where: str) -> float:
+def _value(v, at: tuple) -> float:
     """A target value: a finite JSON number (not a bool or a string)."""
     if not _is_number(v):
-        raise ParseError(f"{where} value must be a number, got {type(v).__name__}")
+        raise ParseError("%s: %s[%d] value must be a number, got %s" % (*at, type(v).__name__))
     if not _is_finite(v):
-        raise ParseError(f"{where} has a non-finite value")
+        raise ParseError("%s: %s[%d] has a non-finite value" % at)
     return float(v)
 
 
@@ -96,15 +96,18 @@ def _entries(data: dict, key: str, where: str) -> list:
     return entries
 
 
-def _indices(entry, arity: int, where: str, shape: str, values: int = 0) -> tuple[int, ...]:
-    """The integer vertex indices that open a list of ``arity + values`` items; 1.0 counts as 1."""
+def _indices(entry, arity: int, at: tuple, shape: str, values: int = 0) -> tuple[int, ...]:
+    """The integer vertex indices that open a list of ``arity + values`` items; 1.0 counts as 1.
+
+    ``at``, ``(file, field, index)``, names the entry; only an error formats it.
+    """
     if not isinstance(entry, list) or len(entry) != arity + values:
-        raise ParseError(f"{where} must be {shape}")
+        raise ParseError("%s: %s[%d] must be %s" % (*at, shape))
     for v in entry[:arity]:
         if type(v) is int:
             continue
         if not _is_number(v) or not (isinstance(v, numbers.Integral) or float(v).is_integer()):
-            raise ParseError(f"{where} has a non-integer vertex index {v!r}")
+            raise ParseError("%s: %s[%d] has a non-integer vertex index %r" % (*at, v))
     return tuple(map(int, entry[:arity]))
 
 
@@ -145,9 +148,9 @@ def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
         if not all(map(_is_finite, row)):
             raise ParseError(f"{where}: positions[{idx}] has a non-finite coordinate")
     edges, angles = _entries(data, "edges", where), _entries(data, "angles", where)
-    edges = [_indices(e, 2, f"{where}: edges[{idx}]", "a pair [i, j]")
+    edges = [_indices(e, 2, (where, "edges", idx), "a pair [i, j]")
              for idx, e in enumerate(edges)]
-    angles = [_indices(a, 3, f"{where}: angles[{idx}]", "a triple [k, i, j]")
+    angles = [_indices(a, 3, (where, "angles", idx), "a triple [k, i, j]")
               for idx, a in enumerate(angles)]
     try:
         graph = build_graph(len(positions), edges=edges, angles=angles)
@@ -188,7 +191,7 @@ def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec
         arity, shape = len(names), f"[{', '.join(names)}, value]"
         found = targets[key_rule]
         for idx, entry in enumerate(_entries(data, field, where)):
-            at = f"{where}: {field}[{idx}]"
+            at = (where, field, idx)
             key = key_rule(*_indices(entry, arity, at, shape, 1))
             value = convert(_value(entry[arity], at))
             if key in found:

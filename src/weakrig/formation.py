@@ -61,6 +61,8 @@ class TargetSpec:
         sq = tuple((edge_key(*e), float(v)) for (e, v) in self.sq_distances)
         cs = tuple((angle_key(*t), float(v)) for (t, v) in self.cosines)
         for e, v in sq:
+            if not math.isfinite(v):  # nan < 0.0 is false
+                raise ValueError(f"desired squared distance for {e} must be finite, got {v}")
             if v < 0.0:
                 raise ValueError(f"desired squared distance for {e} must be >= 0, got {v}")
         for t, v in cs:
@@ -370,13 +372,14 @@ def _combine_canonical(p, s, k1, k2, k3, k4):
 def _rhs_generic(positions, cg: CompiledGraph, target_values, a=0.0, k=None):
     """Gradient flow for any compiled constraint graph: ``(-R_W^T e, e)`` at ``positions + a*k``.
 
-    At ``positions`` when ``k`` is None.  No validation; one
+    At ``positions`` when ``k`` is None.  At a stage point ``e`` is None, as
+    :func:`_rk4` records only a state's errors.  No validation; one
     :func:`constraint_kernel` call; the velocity is an ``(n, 2)`` array.
     """
-    if k is not None:
-        positions = positions + a * k
-    values, _, grad = constraint_kernel(positions, cg, target_values)
-    return -grad, values - target_values
+    if k is None:
+        values, _, grad = constraint_kernel(positions, cg, target_values)
+        return -grad, values - target_values
+    return -constraint_kernel(positions + a * k, cg, target_values)[2], None
 
 
 def _collocation_gate(p):
@@ -503,12 +506,15 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
             return _rhs_canonical(x, d1s, d2s, cs, a, k)
     else:
         p0, degenerate = f0.positions, _collocation_gate(f0.positions)
+        # _rk4's coefficients as 0-d arrays: numpy converts a Python float on every use
+        scalars = {v: np.array(v) for v in (0.0, 0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0, 2.0)}
+        two = scalars[2.0]
 
         def stage(x, a, k):
-            return _rhs_generic(x, cg, tv, a, k)
+            return _rhs_generic(x, cg, tv, scalars[a], k)
 
         def combine(x, s, k1, k2, k3, k4):  # a new array; the gate holds on to old ones
-            return x + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return x + scalars[s] * (k1 + two * k2 + two * k3 + k4)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a step out of the float range ends the run
         times, states, errs, velocity, status = _rk4(p0, stage, combine, degenerate, cfg)

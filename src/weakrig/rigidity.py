@@ -149,16 +149,25 @@ def weak_rigidity_function(f: Framework) -> np.ndarray:
     return constraint_kernel(f.positions, compile_graph(f.graph, f.dim))[0]
 
 
+def _row_label(g: Graph, row: int) -> RowLabel:
+    """``("distance", edge)`` for one of the first ``m`` rows, else ``("cosine", triple)``."""
+    return ("distance", g.edges[row]) if row < g.m else ("cosine", g.angles[row - g.m])
+
+
 @dataclass(frozen=True)
 class WeakRigidityMatrix:
-    """Jacobian of the weak rigidity function plus row bookkeeping."""
+    """Jacobian of the weak rigidity function and the graph that labels its rows."""
 
     matrix: np.ndarray = field(repr=False)
-    row_labels: tuple[RowLabel, ...]
+    graph: Graph = field(repr=False)
 
     @property
     def shape(self):
         return self.matrix.shape
+
+    @property
+    def row_labels(self) -> tuple[RowLabel, ...]:  # built when asked for
+        return tuple(_row_label(self.graph, row) for row in range(len(self.matrix)))
 
 
 def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
@@ -169,10 +178,8 @@ def weak_rigidity_matrix(f: Framework) -> WeakRigidityMatrix:
     gradient at the apex and the two ray tips.  Rows are labelled
     ``("distance", edge)`` then ``("cosine", triple)`` in graph order.
     """
-    g = f.graph
-    R = constraint_kernel(f.positions, compile_graph(g, f.dim), matrix=True)[1]
-    labels = [("distance", e) for e in g.edges] + [("cosine", a) for a in g.angles]
-    return WeakRigidityMatrix(matrix=R, row_labels=tuple(labels))
+    R = constraint_kernel(f.positions, compile_graph(f.graph, f.dim), matrix=True)[1]
+    return WeakRigidityMatrix(matrix=R, graph=f.graph)
 
 
 def central_differences(func, positions: np.ndarray, step: float) -> np.ndarray:
@@ -220,7 +227,7 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
     if s.size == 0:
         raise ValueError("numerical rank of an empty matrix is undefined")
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def rigid_motions(positions: np.ndarray) -> np.ndarray:
@@ -256,7 +263,7 @@ def trivial_motion_basis(f: Framework) -> np.ndarray:
     be equal; else ``Omega p_i`` is constant, so they would lie on one line.
     """
     p = f.positions
-    if numerical_rank(p - p.mean(axis=0)) < 2:
+    if numerical_rank(p - p.sum(axis=0) / len(p)) < 2:  # the bits of p.mean(axis=0)
         raise DegenerateConfiguration("all vertices are collinear")
     basis = rigid_motions(p)
     return basis if f.graph.m else np.column_stack([basis, f.config()])
@@ -304,7 +311,8 @@ def classify_infinitesimal_weak_rigidity(
     basis, R, required = _checked_weak_rigidity_matrix(f)
     rank = numerical_rank(R.matrix, rel_tol)
     rigid = rank == required
-    residual = float(np.max(np.abs(R.matrix @ (basis / np.linalg.norm(basis, axis=0)))))
+    norms = np.sqrt(np.add.reduce(basis * basis, axis=0))  # np.linalg.norm(axis=0) of real input
+    residual = float(np.abs(R.matrix @ (basis / norms)).max())
     return RigidityReport(
         rank=rank, required_rank=required, rigid=rigid,
         verdict=VERDICTS[0] if rigid else VERDICTS[1], null_space_dim=R.shape[1] - rank,
@@ -356,7 +364,7 @@ def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
         removable = weight * s[rank - 1] > rel_tol * s[0]
         for row in [*range(g.m, g.m + g.q), *range(g.m)]:
             if removable[row]:
-                return MinimalityResult(False, "removable constraint", R.row_labels[row])
+                return MinimalityResult(False, "removable constraint", _row_label(g, row))
     if g.m == 1:
-        return MinimalityResult(False, "removable constraint", R.row_labels[0])
+        return MinimalityResult(False, "removable constraint", _row_label(g, 0))
     return MinimalityResult(minimal=True, reason="rigid and no constraint removable")

@@ -7,7 +7,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,18 +654,21 @@ class TestUndecodableInput:
         assert line.startswith(f"error: {bad}: {reason}") and captured.out == ""
 
 
+USAGE_ERRORS = [
+    [],
+    ["analyze"],
+    ["analyze", "fw.json", "--tol", "5"],
+    ["simulate", "fw.json"],
+    ["grow", "--n", "5", "--seed", "1", "--mix", "2"],
+    ["check-gradient", "fw.json", "--fd-step", "0"],
+    ["analyze", "fw.json", "--no-such-option"],
+]
+
+
 class TestUsageErrors:
     """A command line argparse rejects exits 1, an error; 2 would read as "not rigid"."""
 
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["analyze"],
-        ["analyze", "fw.json", "--tol", "5"],
-        ["simulate", "fw.json"],
-        ["grow", "--n", "5", "--seed", "1", "--mix", "2"],
-        ["check-gradient", "fw.json", "--fd-step", "0"],
-        ["analyze", "fw.json", "--no-such-option"],
-    ])
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
     def test_exit_1(self, capsys, argv):
         assert main(argv) == 1
         assert "usage: weakrig" in capsys.readouterr().err
@@ -670,6 +677,69 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: weakrig")
+
+
+VALID_CALLS = {
+    "analyze": ["analyze", "fw.json", "--tol", "1e-8", "--mode", "2d", "--json"],
+    "simulate": ["simulate", "fw.json", "--targets", "t.json", "--dt", "0.01", "--t-max", "2",
+                 "--eps", "1e-6", "--out", "trace.csv", "--json"],
+    "grow": ["grow", "--n", "5", "--seed", "1", "--mix", "0.5", "--out", "g.json", "--log", "g.log"],
+    "check-gradient": ["check-gradient", "fw.json", "--fd-step", "1e-5"],
+}
+
+
+class TestCommandDispatch:
+    """``main`` hands a command's arguments straight to that command's own parser: every
+    command line ends as the full parser's ``parse_args`` would end it, with the same exit
+    code, stdout, stderr and parsed Namespace."""
+
+    @staticmethod
+    def through_main(monkeypatch, capsys, argv):
+        parsed = []
+        for name in ("cmd_analyze", "cmd_simulate", "cmd_grow", "cmd_check_gradient"):
+            monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 7)
+        code = main(argv)
+        return code, *capsys.readouterr(), parsed[0] if parsed else None
+
+    @staticmethod
+    def through_full_parser(capsys, argv):
+        try:
+            args, code = build_parser().parse_args(argv), 7
+        except SystemExit as exc:
+            args, code = None, 1 if exc.code else 0
+        return code, *capsys.readouterr(), args
+
+    @pytest.mark.parametrize("argv", [
+        *VALID_CALLS.values(),
+        *([command, "--help"] for command in VALID_CALLS),
+        ["--help"], ["grow", "-h"],
+        *USAGE_ERRORS,
+        ["frobnicate", "fw.json"],
+        ["--json", "analyze", "fw.json"],
+        *([*argv, "--no-such-option", "x"] for argv in VALID_CALLS.values()),
+        ["analyze", "fw.json", "extra"],
+        ["analyze", "--", "fw.json"],
+    ], ids=" ".join)
+    def test_same_answer_as_the_full_parser(self, monkeypatch, capsys, argv):
+        expected = self.through_full_parser(capsys, argv)
+        got = self.through_main(monkeypatch, capsys, argv)
+        assert got == expected
+        assert (got[3] is None) == (got[0] != 7)  # a parsed call reaches its handler
+
+
+class TestEntryPoint:
+    """``python -m weakrig.cli`` reads its arguments off ``sys.argv``, as ``main()`` does."""
+
+    @pytest.mark.parametrize("argv", [["analyze", "FILE", "--json"], ["--help"]], ids=" ".join)
+    def test_same_exit_code_and_stdout_as_in_process(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width, here and in the child
+        argv = [rhombus_file(tmp_path, "c") if a == "FILE" else a for a in argv]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-m", "weakrig.cli", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        code = main(argv)
+        assert (child.returncode, child.stdout) == (code, capsys.readouterr().out)
+        assert child.stdout.startswith(("{", "usage: weakrig"))
 
 
 def default_of(func, name):

@@ -41,8 +41,13 @@ from conftest import (
 
 class TestTargetSpec:
     def test_negative_squared_distance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"for \(0, 1\) must be >= 0, got -1.0$"):
             TargetSpec(sq_distances=(((0, 1), -1.0),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_squared_distance_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"for \(0, 1\) must be finite, got {value}$"):
+            TargetSpec(sq_distances=(((1, 0), value),))
 
     def test_cosine_out_of_range_rejected(self):
         with pytest.raises(ValueError):
