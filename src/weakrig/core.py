@@ -125,11 +125,11 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coordinate_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a * b, axis=-1)`` bit for bit, as column adds (cheaper on small arrays)."""
+    """``np.add.reduce(a * b, axis=-1)`` of 2 or 3 columns, bit for bit, as cheaper column adds."""
     ab = a * b  # the reduction adds to +0.0 first, so all -0.0 terms give +0.0; no square is -0.0
     s = (ab[..., 0] if a is b else _ZERO + ab[..., 0]) + ab[..., 1]
-    for c in range(2, ab.shape[-1]):
-        s += ab[..., c]
+    if ab.shape[-1] == 3:
+        s += ab[..., 2]
     return s
 
 
@@ -140,7 +140,7 @@ def min_separation(positions: np.ndarray) -> float:
     if n < 2:
         return math.inf
     i, j = _pairs(n)
-    diff = positions[i] - positions[j]
+    diff = positions.take(i, axis=0) - positions.take(j, axis=0)
     return math.sqrt(coordinate_dot(diff, diff).min())
 
 

@@ -32,8 +32,8 @@ from .rigidity import (
 CANONICAL_EDGES = ((0, 1), (0, 2))
 CANONICAL_ANGLES = ((0, 1, 2),)
 
-# |det Z| below this (relative to the constrained squared lengths) counts
-# as collinear.
+# |det Z| below this times |z1| |z2|, the constrained lengths, counts as
+# collinear: |sin| of the angle at agent 0 below it, in any unit.
 COLLINEARITY_REL_TOL = 1e-8
 
 
@@ -220,8 +220,10 @@ class EquilibriumReport:
 def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> EquilibriumReport:
     """Classify a three-agent state as desired / incorrect / not an equilibrium.
 
-    Collinear is ``|det Z| < COLLINEARITY_REL_TOL * (1 + max(d01, d02))``, the
-    squared lengths read off the one kernel call.
+    Collinear is ``|det Z| < COLLINEARITY_REL_TOL * sqrt(d01 * d02)``, i.e. the
+    angle at agent 0 has ``|sin| < COLLINEARITY_REL_TOL``, the same verdict in
+    any unit; the squared lengths are read off the kernel call.  The Jacobian
+    is :func:`flow_jacobian`'s.
     """
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("equilibrium classification needs the three-agent topology")
@@ -234,10 +236,10 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
         kind = "incorrect"
     else:
         kind = "not-equilibrium"
-    J = central_differences(lambda p: constraint_kernel(p, cg, tv)[2], f.positions, DEFAULT_FD_STEP)
+    J = flow_jacobian(f, t)
     min_eig = float(np.linalg.eigvalsh(0.5 * (J + J.T))[0])
     d01, d02 = values[:2].tolist()
-    collinear = abs(float(_det(f.positions))) < COLLINEARITY_REL_TOL * (1.0 + max(d01, d02))
+    collinear = abs(float(_det(f.positions))) < COLLINEARITY_REL_TOL * math.sqrt(d01 * d02)
     return EquilibriumReport(
         kind=kind,
         min_jacobian_eig=min_eig,
@@ -251,9 +253,11 @@ def realize_canonical_targets(t: TargetSpec) -> Framework:
     """One planar realization of canonical three-agent targets.
 
     Places agent 0 at the origin, agent 1 on the x-axis, agent 2 at the
-    target angle.  Needs strictly positive squared distances.
+    target angle.  Needs the targets keyed ``CANONICAL_EDGES`` then
+    ``CANONICAL_ANGLES``, in that order, and strictly positive squared distances.
     """
-    if len(t.sq_distances) != 2 or len(t.cosines) != 1:
+    if (tuple(e for e, _ in t.sq_distances) != CANONICAL_EDGES
+            or tuple(a for a, _ in t.cosines) != CANONICAL_ANGLES):
         raise WrongTopology("realization needs canonical three-agent targets")
     d01 = math.sqrt(t.sq_distances[0][1])
     d02 = math.sqrt(t.sq_distances[1][1])

@@ -65,7 +65,7 @@ class CompiledGraph:
     of ``R_W`` sit in rows ``block_rows`` at flat columns ``block_cols`` of
     one configuration, i.e. at ``block_entries`` of the raveled ``R_W``:
     edge rows at ``i``, at ``j``, then angle rows at ``k``, at ``i``, at
-    ``j``.
+    ``j``.  The index tuples after those are the row ranges the kernel slices.
     """
 
     graph: Graph
@@ -76,6 +76,19 @@ class CompiledGraph:
     block_rows: np.ndarray = field(repr=False)
     block_cols: np.ndarray = field(repr=False)
     block_entries: np.ndarray = field(repr=False)
+    edge_rows: tuple = field(repr=False)    # (..., :m, :) of z and of the blocks
+    mirror_rows: tuple = field(repr=False)  # (..., m:2m, :) of the blocks
+    ray_rows: tuple = field(repr=False)     # (..., m:, :) of z
+    ray_values: tuple = field(repr=False)   # (..., m:) of the squared lengths and of the values
+    value_rows: tuple = field(repr=False)   # (..., :m+q) of the squared lengths
+    apex_rows: tuple = field(repr=False)    # (..., 2m:2m+q, :) of the blocks
+    tip_rows: tuple = field(repr=False)     # (..., 2m+q:, :) of the blocks
+
+
+# picks that do not depend on the graph: a ray stack's halves and swap, the per-angle broadcast
+_FIRST, _SECOND, _SWAP = np.s_[..., 0, :, :], np.s_[..., 1, :, :], np.s_[..., ::-1, :, :]
+_FIRST_NORM, _SECOND_NORM = np.s_[..., 0, :], np.s_[..., 1, :]
+_PER_ANGLE = np.s_[..., None, :, None]
 
 
 @functools.lru_cache(maxsize=64)
@@ -90,11 +103,15 @@ def compile_graph(g: Graph, dim: int = 2) -> CompiledGraph:
             raise CollocatedPoints(f"angle ({k},{i},{j}) involves collocated points")
     ei, ej = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     k, i, j = np.array(g.angles, dtype=np.intp).reshape(-1, 3).T
-    e_rows, a_rows = np.arange(g.m), np.arange(g.m, g.m + g.q)
+    m, q = g.m, g.q
+    e_rows, a_rows = np.arange(m), np.arange(m, m + q)
     block_rows = np.concatenate([e_rows, e_rows, a_rows, a_rows, a_rows])[:, None].repeat(dim, 1)
     block_cols = np.concatenate([ei, ej, k, i, j])[:, None] * dim + np.arange(dim)
-    return CompiledGraph(g, g.m, g.q, np.concatenate([ei, i, j]), np.concatenate([ej, k, k]),
-                         block_rows, block_cols, block_rows * (g.n * dim) + block_cols)
+    return CompiledGraph(g, m, q, np.concatenate([ei, i, j]), np.concatenate([ej, k, k]),
+                         block_rows, block_cols, block_rows * (g.n * dim) + block_cols,
+                         np.s_[..., :m, :], np.s_[..., m:2 * m, :], np.s_[..., m:, :],
+                         np.s_[..., m:], np.s_[..., :m + q], np.s_[..., 2 * m:2 * m + q, :],
+                         np.s_[..., 2 * m + q:, :])
 
 
 def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=False):
@@ -111,25 +128,26 @@ def constraint_kernel(positions, cg: CompiledGraph, target_values=None, matrix=F
     is checked where a configuration is made (:class:`Framework`,
     :func:`central_differences`), and the flow tests each state it records.
     Each numpy call costs more than its arithmetic: no reduction over the
-    coordinate axis, blocks written in place, every sum in its order.
+    coordinate axis, blocks written in place, every sum in its order, and
+    no index built per call (``cg`` and the module hold every slice).
     """
     m, q, lead, (n, d) = cg.m, cg.q, positions.shape[:-2], positions.shape[-2:]
     z = positions.take(cg.tails, axis=-2) - positions.take(cg.heads, axis=-2)
     sq = coordinate_dot(z, z)
-    rays, n2 = z[..., m:, :].reshape(lead + (2, q, d)), sq[..., m:].reshape(lead + (2, q))
-    inv = _ONE / np.sqrt(n2[..., 0, :] * n2[..., 1, :])
-    cos = coordinate_dot(rays[..., 0, :, :], rays[..., 1, :, :]) * inv
-    values = sq[..., :m + q].copy()  # the edges' squared lengths, then room for the cosines
-    np.minimum(np.maximum(cos, _MINUS_ONE), _ONE, out=values[..., m:])  # np.clip minus its dispatch
+    rays, n2 = z[cg.ray_rows].reshape(lead + (2, q, d)), sq[cg.ray_values].reshape(lead + (2, q))
+    inv = _ONE / np.sqrt(n2[_FIRST_NORM] * n2[_SECOND_NORM])
+    cos = coordinate_dot(rays[_FIRST], rays[_SECOND]) * inv
+    values = sq[cg.value_rows].copy()  # the edges' squared lengths, then room for the cosines
+    np.minimum(np.maximum(cos, _MINUS_ONE), _ONE, out=values[cg.ray_values])  # np.clip, no dispatch
     if not matrix and target_values is None:
         return values, None, None
     blocks = np.empty(lead + (2 * m + 3 * q, d))
-    np.add(z[..., :m, :], z[..., :m, :], out=blocks[..., :m, :])  # 2 z, exactly
-    np.negative(blocks[..., :m, :], out=blocks[..., m:2 * m, :])
-    tips = blocks[..., 2 * m + q:, :].reshape(lead + (2, q, d))  # gradients at tips i, j
-    np.subtract(rays[..., ::-1, :, :] * inv[..., None, :, None],
-                rays * cos[..., None, :, None] / n2[..., None], out=tips)
-    np.negative(tips[..., 0, :, :] + tips[..., 1, :, :], out=blocks[..., 2 * m:2 * m + q, :])
+    edges, head = z[cg.edge_rows], blocks[cg.edge_rows]
+    np.add(edges, edges, out=head)  # 2 z, exactly
+    np.negative(head, out=blocks[cg.mirror_rows])
+    tips = blocks[cg.tip_rows].reshape(lead + (2, q, d))  # gradients at tips i, j
+    np.subtract(rays[_SWAP] * inv[_PER_ANGLE], rays * cos[_PER_ANGLE] / n2[..., None], out=tips)
+    np.negative(tips[_FIRST] + tips[_SECOND], out=blocks[cg.apex_rows])
     R = grad = None
     if matrix:
         R = np.zeros(lead + (m + q, n * d))

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weakrig import (
     CollocatedPoints,
@@ -23,7 +26,8 @@ from weakrig import (
     weakly_rigid_0_extension,
 )
 from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance,
-                          collocation_tolerance_at, edge_key, min_separation, stable_norm)
+                          collocation_tolerance_at, coordinate_dot, edge_key, min_separation,
+                          stable_norm)
 
 from conftest import TRIANGLE_POS, random_framework, random_positions
 
@@ -245,6 +249,28 @@ class TestMinSeparation:
                 assert got == 0.0
             else:
                 assert got == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+
+
+# signed zeros and small integers often enough that some dot products are all -0.0 terms
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e100, 1e100))
+
+
+@st.composite
+def _operands(draw):
+    shape = draw(st.sampled_from([(), (3,), (2, 4)])) + (draw(st.sampled_from([2, 3])),)
+    a = draw(arrays(np.float64, shape, elements=_ENTRIES))
+    return a, a if draw(st.booleans()) else draw(arrays(np.float64, shape, elements=_ENTRIES))
+
+
+class TestCoordinateDot:
+    @settings(max_examples=300, deadline=None)
+    @given(_operands())
+    def test_bits_of_the_reduction(self, operands):
+        a, b = operands
+        got, want = coordinate_dot(a, b), np.add.reduce(a * b, axis=-1)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCollocationTolerance:

@@ -25,6 +25,7 @@ from weakrig import (
     flow_jacobian,
     realize_canonical_targets,
     simulate,
+    weak_rigidity_function,
 )
 from weakrig import formation
 from weakrig.formation import _det, _rhs_canonical, _rhs_generic, _trace
@@ -407,18 +408,28 @@ class TestClassifyEquilibrium:
         assert report.min_jacobian_eig < 0.0
 
     def test_targets_checked_once(self, monkeypatch, bench_targets):
-        calls = []
-        checked = formation._target_values
+        # once for the kernel call, and once more by flow_jacobian, which gives the Jacobian
+        calls, jacobians = [], []
+        checked, jacobian = formation._target_values, formation.flow_jacobian
         monkeypatch.setattr(formation, "_target_values",
                             lambda f, t: calls.append(1) or checked(f, t))
+        monkeypatch.setattr(formation, "flow_jacobian",
+                            lambda f, t: jacobians.append(len(calls)) or jacobian(f, t))
         classify_equilibrium(Framework(canonical_three_agent_graph(), 2, TRIANGLE_POS),
                              bench_targets)
-        assert len(calls) == 1
+        assert (jacobians, len(calls)) == ([1], 2)
+
+    def test_jacobian_is_flow_jacobian(self):
+        rng = np.random.default_rng(152)
+        for _ in range(10):
+            f, t = random_three_agent_state(rng), random_targets(rng)
+            eig = np.linalg.eigvalsh(0.5 * (flow_jacobian(f, t) + flow_jacobian(f, t).T))[0]
+            assert classify_equilibrium(f, t).min_jacobian_eig == float(eig)
 
     def test_collinear_flag_is_the_relative_det_bound(self):
-        # |det Z| against 1e-8 (1 + the larger squared constrained length),
-        # measured here from the positions; half the states sit within a
-        # random distance of collinear, so both answers occur.
+        # |det Z| against 1e-8 |z1| |z2|, measured here from the positions;
+        # half the states sit within a random distance of collinear, so
+        # both answers occur.
         rng = np.random.default_rng(153)
         g = canonical_three_agent_graph()
         flags = []
@@ -429,10 +440,22 @@ class TestClassifyEquilibrium:
                 p[2] += 10.0 ** rng.uniform(-12, -4) * rng.normal(size=2)
             f = Framework(g, 2, p)
             report = classify_equilibrium(f, random_targets(rng))
-            scale = 1.0 + max(np.sum((p[0] - p[1]) ** 2), np.sum((p[0] - p[2]) ** 2))
+            scale = math.sqrt(np.sum((p[0] - p[1]) ** 2) * np.sum((p[0] - p[2]) ** 2))
             assert report.collinear == (abs(float(_det(f.positions))) < 1e-8 * scale)
             flags.append(report.collinear)
         assert 0 < sum(flags) < 200
+
+    @pytest.mark.parametrize("positions, collinear", [
+        ([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]], False),  # 69 degrees at agent 0
+        ([[0.0, 0.0], [1.0, 0.0], [-2.0, 0.0]], True),
+        ([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]], True)])
+    def test_collinear_verdict_in_any_unit(self, positions, collinear):
+        g = canonical_three_agent_graph()
+        for scale in 10.0 ** np.arange(-4, 5):
+            f = Framework(g, 2, scale * np.array(positions))
+            values = weak_rigidity_function(f)  # the state's own targets
+            t = align_targets(g, zip(g.edges, values[:2]), zip(g.angles, values[2:]))
+            assert classify_equilibrium(f, t).collinear is collinear, scale
 
 
 class TestRealize:
@@ -442,3 +465,12 @@ class TestRealize:
             t = random_targets(rng)
             f = realize_canonical_targets(t)
             assert error_vector(f, t).norm() < 1e-12
+
+    @pytest.mark.parametrize("t", [
+        TargetSpec(sq_distances=(((0, 2), 9.0), ((0, 1), 8.0)), cosines=(((0, 1, 2), 0.5),)),
+        TargetSpec(sq_distances=(((0, 1), 8.0), ((1, 2), 9.0)), cosines=(((0, 1, 2), 0.5),)),
+        TargetSpec(sq_distances=(((0, 1), 8.0), ((0, 2), 9.0)), cosines=(((1, 0, 2), 0.5),)),
+        TargetSpec(sq_distances=(((0, 1), 8.0),), cosines=(((0, 1, 2), 0.5),))])
+    def test_targets_must_be_the_canonical_keys_in_order(self, t):
+        with pytest.raises(WrongTopology, match="realization needs canonical three-agent targets"):
+            realize_canonical_targets(t)
