@@ -41,8 +41,11 @@ EXIT_INCORRECT_EQ = 4
 
 GRADIENT_CHECK_THRESHOLD = 1e-6
 
-# Default triangle seed for growth (near-equilateral, side ~2).
+# Default triangle seed for growth (near-equilateral, side ~2), built once:
+# a Framework is frozen and its positions read-only, so every request shares it.
 K3_SEED_POSITIONS = [[-1.732, 0.0], [0.0, 1.0], [0.0, -1.0]]
+K3_SEED = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2,
+                    np.array(K3_SEED_POSITIONS))
 
 
 def _number(name, ok, requirement, convert=float):
@@ -182,19 +185,15 @@ def cmd_grow(args) -> int:
     if args.n < 3:
         print("error: --n must be at least 3", file=sys.stderr)
         return EXIT_ERROR
-    seed_fw = Framework(
-        graph=build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]),
-        dim=2,
-        positions=np.array(K3_SEED_POSITIONS),
-    )
-    result = grow_random(seed_fw, steps=args.n - 3, rng_seed=args.seed, mix=args.mix)
+    result = grow_random(K3_SEED, steps=args.n - 3, rng_seed=args.seed, mix=args.mix)
     final = result.final
-    if args.out:
-        fileio.dump_framework(final, args.out)
-    else:
-        print(json.dumps(fileio.framework_to_dict(final), indent=2, sort_keys=True))
-    if args.log:
-        fileio.write_growth_log(result.steps, args.log)
+    with fileio.AtomicWrites() as batch:  # a path is replaced only once both files are written
+        if args.out:
+            fileio.dump_framework(final, args.out, batch)
+        if args.log:
+            fileio.write_growth_log(result.steps, args.log, batch)
+    if not args.out:
+        print(fileio.framework_to_json(final))
     g = final.graph
     print(f"grew to n={g.n} with {g.m} edges + {g.q} angles "
           f"= {g.constraint_count} constraints (2n-3 = {2 * g.n - 3}); "

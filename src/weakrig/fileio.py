@@ -2,10 +2,17 @@
 
 All writers are atomic (write to a temporary file, then rename) and use
 locale-independent formatting with 17 significant digits for CSV floats.
+Writes grouped in one :class:`AtomicWrites` replace no path until every
+file is written.  A framework file is ``json.dumps(..., indent=2,
+sort_keys=True)``'s text, byte for byte, built by one ``%`` format
+(:func:`framework_to_json`); a growth-log line is one shared sorted-key
+encoder's text.
 """
 
 from __future__ import annotations
 
+import errno
+import itertools
 import json
 import math
 import numbers
@@ -34,26 +41,69 @@ def _create_temporary(directory: str) -> tuple[int, str]:
             continue
 
 
-def _atomic_write(path: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, a string or an iterable of strings, to ``path`` atomically.
+def _write_error(path: str, exc: OSError) -> WriteError:
+    return WriteError(f"cannot write {path}: {exc.strerror or exc}")
 
-    An iterable is written piece by piece, so only one piece is held at a
-    time.  If anything raises, the temporary file is removed and ``path``
-    is left as it was; an OSError becomes a WriteError.
+
+class AtomicWrites:
+    """Files written in full first, then renamed over their paths together.
+
+    :meth:`write` writes a temporary file beside its path.  Leaving the
+    ``with`` block renames each over its path, in order; leaving it by an
+    exception removes them all and replaces nothing.  So no path is
+    replaced until every file has been written.  A path that is a
+    directory fails in :meth:`write`, before the rename onto it would.
+    An OSError becomes a WriteError that names the path.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = _create_temporary(directory)
+
+    def __init__(self):
+        self._staged: list[tuple[str, str]] = []
+
+    def write(self, path: str, text: str | Iterable[str]) -> None:
+        """Write ``text``, a string or an iterable of strings written piece by piece."""
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.writelines((text,) if isinstance(text, str) else text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = _create_temporary(os.path.dirname(os.path.abspath(path)))
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.writelines((text,) if isinstance(text, str) else text)
+            except BaseException:
                 os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
+                raise
+        except OSError as exc:
+            raise _write_error(path, exc) from exc
+        self._staged.append((tmp, path))
+
+    def __enter__(self) -> "AtomicWrites":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        staged = self._staged
+        try:
+            while staged and exc_type is None:
+                tmp, path = staged[0]
+                try:
+                    os.replace(tmp, path)
+                except OSError as err:
+                    raise _write_error(path, err) from err
+                del staged[0]
+        finally:
+            while staged:  # what was not renamed
+                os.unlink(staged.pop()[0])
+
+
+def _atomic_write(path: str, text: str | Iterable[str], batch: AtomicWrites | None = None) -> None:
+    """Write ``text`` to ``path`` atomically, or as part of ``batch`` if one is given.
+
+    If anything raises, the temporary file is removed and ``path`` is left
+    as it was.
+    """
+    if batch is None:
+        with AtomicWrites() as batch:
+            batch.write(path, text)
+    else:
+        batch.write(path, text)
 
 
 def _load_json(path: str) -> dict:
@@ -159,12 +209,35 @@ def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _json_rows(count: int, width: int, cell: str) -> str:
+    """The ``indent=2`` layout of ``count`` lists of ``width`` ``cell`` fields, as a key's value."""
+    if not count:
+        return "[]"
+    row = "    [\n" + ",\n".join([f"      {cell}"] * width) + "\n    ]"
+    return "[\n" + ",\n".join([row] * count) + "\n  ]"
+
+
+def framework_to_json(f: Framework) -> str:
+    """``json.dumps(framework_to_dict(f), indent=2, sort_keys=True)``, byte for byte, in one format.
+
+    The keys are in sorted order; a vertex index is written by ``%d`` and a
+    coordinate by ``%r``, its ``float.__repr__``, as the encoder writes a
+    finite float.
+    """
+    g, d = f.graph, f.dim
+    layout = ('{\n  "angles": ' + _json_rows(g.q, 3, "%d") + ',\n  "dim": %d,\n  "edges": '
+              + _json_rows(g.m, 2, "%d") + ',\n  "positions": ' + _json_rows(g.n, d, "%r") + "\n}")
+    return layout % (*itertools.chain(*g.angles), d, *itertools.chain(*g.edges),
+                     *f.positions.ravel().tolist())
+
+
 def load_framework(path: str) -> Framework:
     return framework_from_dict(_load_json(path), where=path)
 
 
-def dump_framework(f: Framework, path: str) -> None:
-    _atomic_write(path, json.dumps(framework_to_dict(f), indent=2, sort_keys=True) + "\n")
+def dump_framework(f: Framework, path: str, batch: AtomicWrites | None = None) -> None:
+    """:func:`framework_to_json` and a newline, written to ``path`` (in ``batch``, if given)."""
+    _atomic_write(path, framework_to_json(f) + "\n", batch)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +354,14 @@ def write_trace_csv(trace: SimulationTrace, path: str) -> None:
 # growth logs (JSON lines, one step per line)
 
 
+# ``json.dumps(..., sort_keys=True)``, minus the new encoder it builds per call.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def growth_log_to_text(steps) -> str:
-    return "".join(json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in steps)
+    return "".join([_encode_sorted(s.to_dict()) + "\n" for s in steps])
 
 
-def write_growth_log(steps, path: str) -> None:
-    _atomic_write(path, growth_log_to_text(steps))
+def write_growth_log(steps, path: str, batch: AtomicWrites | None = None) -> None:
+    """:func:`growth_log_to_text` written to ``path`` (in ``batch``, if given)."""
+    _atomic_write(path, growth_log_to_text(steps), batch)

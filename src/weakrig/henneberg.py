@@ -172,24 +172,34 @@ class GrowthResult:
         return self.frameworks[-1]
 
 
-def _box(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Corners of the bounding box of ``positions`` and its diagonal, the diameter."""
+def _box(positions: np.ndarray) -> tuple[tuple[float, float], tuple[float, float], float]:
+    """The proposal region of a parent at ``positions``, in Python floats, and its diameter.
+
+    The region is the bounding box ``[lo, hi]`` widened by half the
+    diameter, its diagonal, on each side: its origin ``lo - 0.5 * diameter``
+    and its span ``hi - lo + diameter``, each formed as the numpy
+    expression forms it, so with the same bits.
+    """
     lo = positions.min(axis=0)
     hi = positions.max(axis=0)
-    return lo, hi, float(np.linalg.norm(hi - lo))
+    diameter = float(np.linalg.norm(hi - lo))
+    half = 0.5 * diameter
+    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
+    return (x0 - half, y0 - half), (x1 - x0 + diameter, y1 - y0 + diameter), diameter
 
 
 def _propose(f: Framework, rng: np.random.Generator, mix: float, box) -> ExtensionStep:
     """Draw a random extension of ``f``; the draw order fixes every seed's output.
 
-    The kind, the position (in ``f``'s :func:`_box` widened by half the
-    diameter on each side), then the anchor pair, or the split edge and the
-    witness.
+    The kind, the position (uniform in ``f``'s :func:`_box` region, as
+    ``origin + r * span`` per coordinate, the bits of ``lo - 0.5 * diameter
+    + r * (hi - lo + diameter)``), then the anchor pair, or the split edge
+    and the witness.
     """
     zero = rng.random() < mix or f.graph.m <= 2
-    lo, hi, diameter = box
-    pos = lo - 0.5 * diameter + rng.random(2) * (hi - lo + diameter)
-    position = (float(pos[0]), float(pos[1]))
+    (ox, oy), (sx, sy), _ = box
+    rx, ry = rng.random(2).tolist()
+    position = (ox + rx * sx, oy + ry * sy)
     nu = f.graph.n
     if zero:
         i, j = (int(v) for v in rng.choice(nu, size=2, replace=False))

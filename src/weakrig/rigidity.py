@@ -267,24 +267,41 @@ def rigid_motions(positions: np.ndarray) -> np.ndarray:
     return motions.reshape(n * d, -1)
 
 
+def _trivial_motion_count(f: Framework) -> int:
+    """How many trivial motions a framework has: ``d(d+1)/2``, one more with no edges.
+
+    Raises DegenerateConfiguration if all vertices are collinear (one or
+    two always are): the centred ``n x d`` positions rank below 2.  Else
+    the motions of :func:`trivial_motion_basis` are independent, so their
+    count is this number.  Scaling ``c``, skew ``Omega`` and translation
+    ``t``, with ``(c, Omega) != 0``, that vanish give
+    ``(c I + Omega) p_i = -t``.  If ``c != 0`` or ``d = 2`` that matrix is
+    invertible, so all points would be equal; else ``Omega p_i`` is
+    constant, so they would lie on one line.
+    """
+    p = f.positions
+    if numerical_rank(p - p.sum(axis=0) / len(p)) < 2:  # the bits of p.mean(axis=0)
+        raise DegenerateConfiguration("all vertices are collinear")
+    d = f.dim
+    return d * (d + 1) // 2 + (not f.graph.m)
+
+
+def _motion_columns(f: Framework) -> np.ndarray:
+    """:func:`rigid_motions`, plus the configuration itself (uniform scaling) with no edges."""
+    basis = rigid_motions(f.positions)
+    return basis if f.graph.m else np.column_stack([basis, f.config()])
+
+
 def trivial_motion_basis(f: Framework) -> np.ndarray:
     """Columns spanning the trivial infinitesimal motions of a framework.
 
     The rigid motions of :func:`rigid_motions`; plus the configuration
     itself (uniform scaling) when the framework has no distance edges.
-    Raises DegenerateConfiguration if all vertices are collinear (one or
-    two always are): the centred ``n x d`` positions rank below 2.  Else the
-    columns are independent, so their count is the number of trivial
-    motions.  Scaling ``c``, skew ``Omega`` and translation ``t``, with
-    ``(c, Omega) != 0``, that vanish give ``(c I + Omega) p_i = -t``.  If
-    ``c != 0`` or ``d = 2`` that matrix is invertible, so all points would
-    be equal; else ``Omega p_i`` is constant, so they would lie on one line.
+    Raises DegenerateConfiguration if all vertices are collinear; else the
+    columns are independent (see :func:`_trivial_motion_count`).
     """
-    p = f.positions
-    if numerical_rank(p - p.sum(axis=0) / len(p)) < 2:  # the bits of p.mean(axis=0)
-        raise DegenerateConfiguration("all vertices are collinear")
-    basis = rigid_motions(p)
-    return basis if f.graph.m else np.column_stack([basis, f.config()])
+    _trivial_motion_count(f)
+    return _motion_columns(f)
 
 
 @dataclass(frozen=True)
@@ -301,18 +318,19 @@ class RigidityReport:
         return dict(vars(self))
 
 
-def _checked_weak_rigidity_matrix(f: Framework) -> tuple[np.ndarray, WeakRigidityMatrix, int]:
-    """Trivial motions, ``R_W`` and required rank of a framework the rank test applies to.
+def _checked_weak_rigidity_matrix(f: Framework) -> tuple[WeakRigidityMatrix, int]:
+    """``R_W`` and the required rank of a framework the rank test applies to.
 
     The required rank is ``R_W``'s column count less the trivial motions:
-    ``d n - d(d+1)/2``, one less with no edges.
+    ``d n - d(d+1)/2``, one less with no edges.  The motions are counted,
+    not built: only the classifier's residual needs them.
     """
     if f.graph.n < 3:
         raise ValueError("rigidity classification needs n >= 3")
     if not f.graph.constraint_count:
         raise EmptyEdgeSet("framework has no constraints at all")
-    basis = trivial_motion_basis(f)
-    return basis, weak_rigidity_matrix(f), f.positions.size - basis.shape[1]
+    trivial = _trivial_motion_count(f)
+    return weak_rigidity_matrix(f), f.positions.size - trivial
 
 
 def classify_infinitesimal_weak_rigidity(
@@ -326,9 +344,10 @@ def classify_infinitesimal_weak_rigidity(
     The report carries the largest entry of ``R_W`` times the unit-normed
     trivial motions as a residual.
     """
-    basis, R, required = _checked_weak_rigidity_matrix(f)
+    R, required = _checked_weak_rigidity_matrix(f)
     rank = numerical_rank(R.matrix, rel_tol)
     rigid = rank == required
+    basis = _motion_columns(f)
     norms = np.sqrt(np.add.reduce(basis * basis, axis=0))  # np.linalg.norm(axis=0) of real input
     residual = float(np.abs(R.matrix @ (basis / norms)).max())
     return RigidityReport(
@@ -371,7 +390,7 @@ def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     constraint, angles before edges, is the witness.  Raises the same
     errors as :func:`classify_infinitesimal_weak_rigidity`.
     """
-    _, R, required = _checked_weak_rigidity_matrix(f)
+    R, required = _checked_weak_rigidity_matrix(f)
     rank = numerical_rank(R.matrix, rel_tol)
     g = f.graph
     if rank != required:

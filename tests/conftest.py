@@ -126,7 +126,7 @@ def full_svd_minimality(f: Framework, rel_tol: float = 1e-9) -> MinimalityResult
     replaced, kept as an oracle: it reads the left null space even at full
     row rank, where it is empty.
     """
-    _, R, required = _checked_weak_rigidity_matrix(f)
+    R, required = _checked_weak_rigidity_matrix(f)
     U, s, _ = np.linalg.svd(R.matrix)
     rank = _rank_cut(s, rel_tol)
     g = f.graph

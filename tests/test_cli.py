@@ -31,7 +31,7 @@ from weakrig import (
     weak_rigidity_function,
 )
 from weakrig import cli, formation, rigidity
-from weakrig.cli import K3_SEED_POSITIONS, build_parser, main
+from weakrig.cli import K3_SEED, K3_SEED_POSITIONS, build_parser, main
 from weakrig.fileio import dump_framework, load_framework, report_to_json
 from weakrig.rigidity import classify_infinitesimal_weak_rigidity
 
@@ -567,6 +567,55 @@ class TestGrow:
                      "--out", str(out_path), "--log", str(log_path)]) == 0
         assert hashlib.sha1(out_path.read_bytes()).hexdigest() == out_sha
         assert hashlib.sha1(log_path.read_bytes()).hexdigest() == log_sha
+
+    @pytest.mark.parametrize("n, seed, mix", [(12, 42, "0.5"), (20, 7, "0.5"), (16, 3, "0.0")])
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, n, seed, mix):
+        argv = ["grow", "--n", str(n), "--seed", str(seed), "--mix", mix]
+        out_path = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+    def test_shared_seed_stays_unchanged(self, tmp_path, capsys):
+        for seed in ("1", "2"):
+            assert main(["grow", "--n", "9", "--seed", seed]) == 0
+        assert not K3_SEED.positions.flags.writeable
+        assert K3_SEED.positions.tobytes() == np.array(K3_SEED_POSITIONS).tobytes()
+        assert K3_SEED.graph == build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
+
+
+class TestFailedGrowWritesNothing:
+    """Both destinations are written in full before either path is replaced."""
+
+    def test_unwritable_log_keeps_the_old_out(self, tmp_path, capsys):
+        out = tmp_path / "A"
+        out.write_text("old\n")
+        argv = ["grow", "--n", "5", "--seed", "1", "--out", str(out),
+                "--log", str(tmp_path / "nodir" / "x.log")]
+        assert main(argv) == 1
+        assert out.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["A"]
+        assert capsys.readouterr().out == ""
+
+    def test_unwritable_log_prints_no_framework(self, tmp_path, capsys):
+        assert main(["grow", "--n", "5", "--seed", "1",
+                     "--log", str(tmp_path / "nodir" / "x.log")]) == 1
+        assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_writes_no_log(self, tmp_path, capsys):
+        log = tmp_path / "x.log"
+        assert main(["grow", "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "nodir" / "A"), "--log", str(log)]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_log_path_a_directory_keeps_the_old_out(self, tmp_path, capsys):
+        out, log = tmp_path / "A", tmp_path / "logs"
+        out.write_text("old\n")
+        log.mkdir()
+        assert main(["grow", "--n", "5", "--seed", "1", "--out", str(out), "--log", str(log)]) == 1
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["A", "logs"] and not any(log.iterdir())
+        assert capsys.readouterr().err.startswith(f"error: cannot write {log}: ")
 
 
 class TestNonFiniteOptions:

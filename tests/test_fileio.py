@@ -13,18 +13,22 @@ from hypothesis import strategies as st
 
 from weakrig import (
     Framework,
+    Graph,
     ParseError,
     WeakRigError,
     WriteError,
     build_graph,
     classify_weak_rigidity_3d,
+    grow_random,
     weak_rigidity_matrix,
 )
 from weakrig.fileio import (
+    AtomicWrites,
     _atomic_write,
     dump_framework,
     framework_from_dict,
     framework_to_dict,
+    framework_to_json,
     load_framework,
     load_targets,
     targets_from_dict,
@@ -262,6 +266,80 @@ class TestUnwritablePath:
         with pytest.raises(WriteError, match="fw.json"):
             dump_framework(mixed_framework, str(tmp_path / "fw.json"))
         assert [p.name for p in tmp_path.iterdir()] == ["fw.json"]
+
+
+class TestAtomicWrites:
+    """A batch replaces its paths only once every file in it has been written."""
+
+    def test_a_failed_write_replaces_nothing(self, tmp_path, mixed_framework):
+        first = tmp_path / "first.json"
+        first.write_text("old\n")
+        with pytest.raises(WriteError, match="missing"):
+            with AtomicWrites() as batch:
+                dump_framework(mixed_framework, str(first), batch)
+                _atomic_write(str(tmp_path / "missing" / "second.log"), "x\n", batch)
+        assert first.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["first.json"]
+
+    def test_a_directory_fails_before_any_rename(self, tmp_path, mixed_framework):
+        first = tmp_path / "first.json"
+        first.write_text("old\n")
+        (tmp_path / "second.log").mkdir()
+        with pytest.raises(WriteError, match="second.log: Is a directory"):
+            with AtomicWrites() as batch:
+                dump_framework(mixed_framework, str(first), batch)
+                _atomic_write(str(tmp_path / "second.log"), "x\n", batch)
+        assert first.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "second.log"]
+
+    def test_every_file_lands_on_a_clean_exit(self, tmp_path, mixed_framework):
+        with AtomicWrites() as batch:
+            dump_framework(mixed_framework, str(tmp_path / "a.json"), batch)
+            _atomic_write(str(tmp_path / "b.log"), ["x", "y\n"], batch)
+            assert len(list(tmp_path.iterdir())) == 2 and not (tmp_path / "a.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.log"]
+        assert (tmp_path / "b.log").read_text() == "xy\n"
+        assert np.array_equal(load_framework(str(tmp_path / "a.json")).positions,
+                              mixed_framework.positions)
+
+
+def framework_json_corpus():
+    """Frameworks whose text the encoder and the one-format layout must agree on."""
+    k3 = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
+    rng = np.random.default_rng(2025)
+    corpus = []
+    for rng_seed, mix in ((0, 0.5), (1, 0.0), (2, 1.0), (3, 0.5)):
+        for f in grow_random(k3, steps=27, rng_seed=rng_seed, mix=mix).frameworks:  # n = 3..30
+            g, p = f.graph, f.positions
+            lifted = np.column_stack([p, rng.uniform(-1.0, 1.0, g.n)])
+            corpus += [f, Framework(g, 3, lifted), Framework(Graph(g.n, edges=g.edges), 2, p),
+                       Framework(Graph(g.n, angles=g.angles), 2, p)]
+    grown = corpus[4 * 9]  # n = 12
+    with np.errstate(over="ignore"):  # squared separations past 1e154 overflow to inf
+        for exponent in range(-3, 201, 7):
+            scale = float(rng.uniform(1.0, 10.0)) * 10.0 ** exponent
+            corpus.append(grown.with_positions(grown.positions * scale))
+            corpus.append(Framework(Graph(1), 2, rng.uniform(-1.0, 1.0, (1, 2)) * scale))
+    corpus += [
+        Framework(Graph(1), 2, [[0.0, 0.0]]),
+        Framework(Graph(1), 3, [[-0.0, 0.0, -0.0]]),
+        Framework(build_graph(3, edges=[(0, 1)], angles=[(2, 0, 1)]), 2,
+                  [[-0.0, 1e16], [2e16, -3.0], [1e16, 2.0 ** 53]]),
+        Framework(Graph(2), 3, [[1.0, 2.0, 3.0], [-4.0, 5e-324, 1e22]]),
+    ]
+    return corpus
+
+
+class TestFrameworkJson:
+    def test_equals_the_indented_encoder(self):
+        for f in framework_json_corpus():
+            assert framework_to_json(f) == json.dumps(framework_to_dict(f), indent=2,
+                                                      sort_keys=True)
+
+    def test_dump_writes_it_with_a_newline(self, tmp_path, mixed_framework):
+        path = tmp_path / "fw.json"
+        dump_framework(mixed_framework, str(path))
+        assert path.read_text() == framework_to_json(mixed_framework) + "\n"
 
 
 class TestStreamedWrite:

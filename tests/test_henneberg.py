@@ -393,3 +393,26 @@ class TestStepLocalRejection:
         monkeypatch.setattr(compile_graph, "__wrapped__", counting)
         result = grow_random(triangle_k3, steps=20, rng_seed=8, mix=0.5)
         assert sum(result.attempts) > 20 and calls == []
+
+
+COORDINATE = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+
+class TestProposalInFloats:
+    """The proposal region and the position are Python floats with numpy's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(COORDINATE, COORDINATE), min_size=1, max_size=8),
+           mix=st.floats(0.0, 1.0), rng_seed=st.integers(0, 2**32 - 1))
+    def test_position_has_the_numpy_bits(self, points, mix, rng_seed):
+        positions = np.array(points, float)
+        parent = Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
+        step = _propose(parent, np.random.default_rng(rng_seed), mix, _box(positions))
+        reference = np.random.default_rng(rng_seed)
+        reference.random()  # the kind
+        r = reference.random(2)
+        lo, hi = positions.min(axis=0), positions.max(axis=0)
+        d = float(np.linalg.norm(hi - lo))
+        expected = lo - 0.5 * d + r * (hi - lo + d)
+        assert all(type(c) is float for c in step.new_position)
+        assert np.array(step.new_position).tobytes() == expected.tobytes()
