@@ -26,7 +26,7 @@ class CollocatedPoints(WeakRigError):
 
 
 class EmptyEdgeSet(WeakRigError):
-    """The operation needs at least one edge."""
+    """The framework has no constraints at all: no edge and no angle."""
 
 
 class DegenerateConfiguration(WeakRigError):

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .core import Framework, angle_key, build_graph, edge_key
+from .core import Framework, build_graph
 from .errors import ParseError, TargetMismatch, WeakRigError, WriteError
 from .formation import SimulationTrace, TargetSpec, align_targets
 from .rigidity import RigidityReport
@@ -168,15 +168,6 @@ def _indices(entry, arity: int, at: tuple, shape: str, values: int = 0) -> tuple
 FRAMEWORK_KEYS = {"dim", "positions", "edges", "angles"}
 
 
-def framework_to_dict(f: Framework) -> dict:
-    return {
-        "dim": f.dim,
-        "positions": [[float(c) for c in row] for row in f.positions],
-        "edges": [list(e) for e in f.graph.edges],
-        "angles": [list(a) for a in f.graph.angles],
-    }
-
-
 def framework_from_dict(data: dict, where: str = "<framework>") -> Framework:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected a JSON object at top level")
@@ -218,10 +209,10 @@ def _json_rows(count: int, width: int, cell: str) -> str:
 
 
 def framework_to_json(f: Framework) -> str:
-    """``json.dumps(framework_to_dict(f), indent=2, sort_keys=True)``, byte for byte, in one format.
+    """``json.dumps`` of ``f``'s dim, positions, edges and angles, ``indent=2, sort_keys=True``.
 
-    The keys are in sorted order; a vertex index is written by ``%d`` and a
-    coordinate by ``%r``, its ``float.__repr__``, as the encoder writes a
+    Byte for byte, in one format: the keys are in sorted order; a vertex index is written by
+    ``%d`` and a coordinate by ``%r``, its ``float.__repr__``, as the encoder writes a
     finite float.
     """
     g, d = f.graph, f.dim
@@ -244,34 +235,30 @@ def dump_framework(f: Framework, path: str, batch: AtomicWrites | None = None) -
 # target files
 
 
-# field: (vertex names, key rule, the target a repeated key duplicates, value conversion)
+# field: (vertex names, value conversion); pairs are distance targets, triples cosine targets
 TARGET_FIELDS = {
-    "sq_distances": (("i", "j"), edge_key, "distance target for edge", float),
-    "cosines": (("k", "i", "j"), angle_key, "cosine target for angle", float),
-    "cosines_deg": (("k", "i", "j"), angle_key, "cosine target for angle",
-                    lambda d: float(np.cos(np.deg2rad(d)))),
+    "sq_distances": (("i", "j"), float),
+    "cosines": (("k", "i", "j"), float),
+    "cosines_deg": (("k", "i", "j"), lambda d: float(np.cos(np.deg2rad(d)))),
 }
 
 
 def targets_from_dict(data: dict, graph, where: str = "<targets>") -> TargetSpec:
+    """The targets of ``data``, parsed here and keyed and checked by :func:`align_targets`."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected a JSON object at top level")
     unknown = set(data) - set(TARGET_FIELDS)
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
-    targets: dict = {edge_key: {}, angle_key: {}}  # per key rule
-    for field, (names, key_rule, what, convert) in TARGET_FIELDS.items():
+    targets: dict = {2: [], 3: []}  # (indices, value) pairs by arity: distances, then cosines
+    for field, (names, convert) in TARGET_FIELDS.items():
         arity, shape = len(names), f"[{', '.join(names)}, value]"
-        found = targets[key_rule]
         for idx, entry in enumerate(_entries(data, field, where)):
             at = (where, field, idx)
-            key = key_rule(*_indices(entry, arity, at, shape, 1))
-            value = convert(_value(entry[arity], at))
-            if key in found:
-                raise ParseError(f"{where}: duplicate {what} {key}")
-            found[key] = value
+            targets[arity].append((_indices(entry, arity, at, shape, 1),
+                                   convert(_value(entry[arity], at))))
     try:
-        return align_targets(graph, targets[edge_key], targets[angle_key])
+        return align_targets(graph, targets[2], targets[3])
     except (ValueError, TargetMismatch) as exc:  # a value out of range, or not one per constraint
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -293,23 +280,17 @@ def report_to_json(report: RigidityReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def format_row_label(label) -> str:
-    """``d_i_j`` for a distance row; a row label is otherwise a cosine, ``cos_k_i_j``."""
-    kind, key = label
-    if kind == "distance":
-        return f"d_{key[0]}_{key[1]}"
-    return f"cos_{key[0]}_{key[1]}_{key[2]}"
-
-
 def matrix_to_csv(matrix, row_labels=None) -> str:
-    """Numeric matrix as CSV, optionally with a leading row-label column."""
+    """Numeric matrix as CSV, optionally led by a column of labels, ``d_i_j`` or ``cos_k_i_j``."""
     matrix = np.asarray(matrix, float)
     header = [f"c{c}" for c in range(matrix.shape[1])]
     cells = [FLOAT_CELL] * matrix.shape[1]
     rows = [tuple(row) for row in matrix.tolist()]
     if row_labels is not None:
         header, cells = ["row", *header], ["%s", *cells]
-        rows = [(format_row_label(row_labels[r]), *row) for r, row in enumerate(rows)]
+        labels = [("d_" if kind == "distance" else "cos_") + "_".join(map(str, key))
+                  for kind, key in row_labels]
+        rows = [(labels[r], *row) for r, row in enumerate(rows)]
     line = ",".join(cells)
     return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
 

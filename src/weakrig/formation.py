@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,14 +76,21 @@ class TargetSpec:
         return np.array([v for _, v in self.sq_distances] + [v for _, v in self.cosines])
 
 
-def align_targets(graph: Graph, sq_map, cos_map) -> TargetSpec:
-    """Build a TargetSpec in graph constraint order from key/value mappings.
+def align_targets(graph: Graph, sq_targets, cos_targets) -> TargetSpec:
+    """Build a TargetSpec in graph constraint order from edge and angle targets.
 
-    Raises TargetMismatch if the mappings do not cover the graph's
-    constraints exactly.
+    Each is a mapping or ``(key, value)`` pairs, keyed as the graph keys its
+    constraints.  Raises TargetMismatch if a constraint has two targets, or
+    if the targets do not cover the graph's constraints exactly.
     """
-    sq = {edge_key(*e): float(v) for e, v in dict(sq_map).items()}
-    cs = {angle_key(*t): float(v) for t, v in dict(cos_map).items()}
+    sq, cs = {}, {}
+    for keyed, targets, key_rule, what in ((sq, sq_targets, edge_key, "distance target for edge"),
+                                           (cs, cos_targets, angle_key, "cosine target for angle")):
+        for key, value in targets.items() if isinstance(targets, Mapping) else targets:
+            key = key_rule(*key)
+            if key in keyed:
+                raise TargetMismatch(f"duplicate {what} {key}")
+            keyed[key] = float(value)
     missing = [e for e in graph.edges if e not in sq] + [a for a in graph.angles if a not in cs]
     edges, angles = set(graph.edges), set(graph.angles)
     extra = [e for e in sq if e not in edges] + [a for a in cs if a not in angles]
@@ -148,17 +156,16 @@ def _edge_weights(f: Framework, t: TargetSpec) -> tuple[float, float, float]:
 
     With ``z1 = p1 - p0``, ``z2 = p2 - p0``, ``c`` the cosine at agent 0 and errors
     ``e01, e02, ec``: ``w1 = 2 e01 - ec c/|z1|^2``, ``w2 = 2 e02 - ec c/|z2|^2`` and
-    ``w3 = ec/(|z1| |z2|)``.  Agent 1 moves by ``-(w1 z1 + w3 z2)``, as edge 01's row gives
-    ``2 e01 z1`` and the cosine's gradient there is ``z2/(|z1| |z2|) - c z1/|z1|^2``; agent
-    2 likewise by ``-(w2 z2 + w3 z1)``, and agent 0 by minus their sum.
+    ``w3 = ec/(|z1| |z2|)``; ``|z1|^2``, ``|z2|^2`` and ``c`` are :func:`weak_rigidity_function`'s
+    values.  Agent 1 moves by ``-(w1 z1 + w3 z2)``, as edge 01's row gives ``2 e01 z1`` and the
+    cosine's gradient there is ``z2/(|z1| |z2|) - c z1/|z1|^2``; agent 2 likewise by
+    ``-(w2 z2 + w3 z1)``, and agent 0 by minus their sum.
     """
     if not is_three_agent_topology(f.graph):
         raise WrongTopology("E(p) and det Z are defined for the canonical three-agent topology")
-    e01, e02, ec = error_vector(f, t).values.tolist()
-    z1, z2 = f.positions[1:] - f.positions[0]
-    n1, n2 = float(z1 @ z1), float(z2 @ z2)
+    tv, values = _target_values(f, t), weak_rigidity_function(f)
+    (n1, n2, c), (e01, e02, ec) = values.tolist(), (values - tv).tolist()
     inv = 1.0 / math.sqrt(n1 * n2)
-    c = float(z1 @ z2) * inv
     return 2.0 * e01 - ec * c / n1, 2.0 * e02 - ec * c / n2, ec * inv
 
 

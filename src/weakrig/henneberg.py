@@ -1,4 +1,4 @@
-"""Modified Henneberg construction for minimally weakly rigid frameworks.
+"""Modified Henneberg construction for minimally weakly rigid frameworks in 2D.
 
 A 0-extension adjoins a vertex and two new subtended angles anchored at an
 existing vertex pair; a 1-extension removes one edge and adjoins a vertex
@@ -79,7 +79,9 @@ class ExtensionStep:
         }
 
 
-def _check_anchor_pair(f: Framework, i: int, j: int) -> None:
+def _check_parent(f: Framework, i: int, j: int) -> None:
+    if f.dim != 2:
+        raise ValueError("an extension is defined for dim 2")
     n = f.graph.n
     if not (0 <= i < n and 0 <= j < n):
         raise BadAnchor(f"anchor ({i},{j}) out of range for n={n}")
@@ -115,7 +117,7 @@ def _extend(f: Framework, i: int, j: int, pos, edges, witness_angles) -> Framewo
 
 def weakly_rigid_0_extension(f: Framework, i: int, j: int, pos) -> Framework:
     """Adjoin a vertex at ``pos`` plus the two angles at ``i`` and ``j`` toward it."""
-    _check_anchor_pair(f, i, j)
+    _check_parent(f, i, j)
     return _extend(f, i, j, pos, f.graph.edges, ())
 
 
@@ -125,7 +127,7 @@ def weakly_rigid_1_extension(f: Framework, i: int, j: int, k: int, pos) -> Frame
     The added angles sit at ``i`` and ``j`` toward the new vertex and at the
     witness ``k`` toward ``i`` and ``j``.
     """
-    _check_anchor_pair(f, i, j)
+    _check_parent(f, i, j)
     edge = edge_key(i, j)
     if edge not in f.graph.edges:
         raise EdgeNotFound(f"edge {edge} is not in the graph")
@@ -269,8 +271,11 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
     otherwise pays only for what it adds.  A proposal that cannot be built
     (collinear or collocated, or re-adding an angle the graph has) is
     rejected too.  A step that fails 1000 attempts raises
-    PlacementExhausted.  Deterministic for a fixed ``rng_seed``.
+    PlacementExhausted; a seed that is not 2D, ValueError.  Deterministic
+    for a fixed ``rng_seed``.
     """
+    if seed_framework.dim != 2:
+        raise ValueError("growth is defined for dim 2")
     if not is_minimally_weakly_rigid(seed_framework):
         raise SeedNotRigid("growth seed must be minimally (weakly) rigid")
     rng = np.random.default_rng(rng_seed)

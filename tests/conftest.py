@@ -39,6 +39,16 @@ UNDECODABLE_JSON = {
 }
 
 
+def framework_to_dict(f: Framework) -> dict:
+    """The document a framework file holds: the reference ``fileio.framework_to_json`` encodes."""
+    return {
+        "dim": f.dim,
+        "positions": [[float(c) for c in row] for row in f.positions],
+        "edges": [list(e) for e in f.graph.edges],
+        "angles": [list(a) for a in f.graph.angles],
+    }
+
+
 def rhombus_framework(variant: str) -> Framework:
     edges, angles = RHOMBUS_VARIANTS[variant]
     return Framework(build_graph(4, edges=edges, angles=angles), 2, RHOMBUS_POS)

@@ -47,6 +47,11 @@ def k3() -> Framework:
     return Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
 
 
+def k4_3d() -> Framework:
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return Framework(build_graph(4, edges=edges), 3, np.vstack([np.zeros(3), np.eye(3)]))
+
+
 def two_angles() -> Framework:
     g = build_graph(4, edges=[(0, 1)], angles=[(0, 1, 2), (3, 1, 2)])
     return Framework(g, 2, np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.5, 2.0]]))
@@ -85,6 +90,9 @@ RAISES = {
                      "anchor (0,5) out of range for n=3"),
     "witness-range": (lambda: weakly_rigid_1_extension(k3(), 0, 1, 7, (0.5, 2.0)), BadAnchor,
                       "witness vertex 7 out of range for n=3"),
+    "extension-dim": (lambda: weakly_rigid_0_extension(k4_3d(), 0, 1, (0.5, 2.0)), ValueError,
+                      "an extension is defined for dim 2"),
+    "growth-dim": (lambda: grow_random(k4_3d(), 1, 0), ValueError, "growth is defined for dim 2"),
     "extension-kind": (lambda: apply_extension(k3(), split_step("2-extension")), ValueError,
                        "unknown extension kind '2-extension'"),
     "zero-ray": (lambda: cosine_edge_partials([0.0, 0.0], [1.0, 0.0], [1.0, 0.0]),

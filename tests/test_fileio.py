@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -15,8 +16,10 @@ from weakrig import (
     Framework,
     Graph,
     ParseError,
+    TargetMismatch,
     WeakRigError,
     WriteError,
+    align_targets,
     build_graph,
     classify_weak_rigidity_3d,
     grow_random,
@@ -27,7 +30,6 @@ from weakrig.fileio import (
     _atomic_write,
     dump_framework,
     framework_from_dict,
-    framework_to_dict,
     framework_to_json,
     load_framework,
     load_targets,
@@ -35,7 +37,7 @@ from weakrig.fileio import (
 )
 from weakrig.rigidity import compile_graph
 
-from conftest import TRIANGLE_POS, UNDECODABLE_JSON
+from conftest import TRIANGLE_POS, UNDECODABLE_JSON, framework_to_dict
 
 
 @pytest.fixture
@@ -453,6 +455,49 @@ class TestParseFuzz:
                 load(str(path))
             except ParseError:
                 pass
+
+
+ORDERED_PAIRS = list(itertools.permutations(range(4), 2))
+ORDERED_TRIPLES = list(itertools.permutations(range(4), 3))
+
+
+@st.composite
+def target_documents(draw):
+    """Well-formed target entries for ``FUZZ_GRAPH``, in any order: most of its constraints,
+    each written either way round, and up to two keys drawn from every orientation, so
+    repeats and extras both occur; the cosines split between the two cosine fields."""
+    def keys(own, pool):
+        kept = [key if draw(st.booleans()) else (*key[:-2], key[-1], key[-2])
+                for key in own if draw(st.integers(0, 7))]
+        return draw(st.permutations(kept + draw(st.lists(st.sampled_from(pool), max_size=2))))
+
+    document = {"sq_distances": [[*e, draw(st.floats(-1.0, 10.0))]
+                                 for e in keys(FUZZ_GRAPH.edges, ORDERED_PAIRS)],
+                "cosines": [], "cosines_deg": []}
+    for a in keys(FUZZ_GRAPH.angles, ORDERED_TRIPLES):
+        if draw(st.booleans()):
+            document["cosines"].append([*a, draw(st.floats(-1.2, 1.2))])
+        else:
+            document["cosines_deg"].append([*a, draw(st.floats(0.0, 180.0))])
+    return document
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(target_documents())
+def test_files_and_callers_share_the_target_rule(document):
+    """A file's targets and the same targets handed to ``align_targets`` agree, error or not."""
+    sq = [((i, j), v) for i, j, v in document["sq_distances"]]
+    cosines = [((k, i, j), v) for k, i, j, v in document["cosines"]]
+    cosines += [((k, i, j), float(np.cos(np.deg2rad(d))))
+                for k, i, j, d in document["cosines_deg"]]
+    try:
+        want = align_targets(FUZZ_GRAPH, sq, cosines)
+    except (TargetMismatch, ValueError) as exc:
+        with pytest.raises(ParseError) as caught:
+            targets_from_dict(document, FUZZ_GRAPH)
+        assert str(caught.value) == f"<targets>: {exc}"
+    else:
+        assert targets_from_dict(document, FUZZ_GRAPH) == want
 
 
 # One fault per input: the error each entry point raises for it, type and full message.

@@ -67,6 +67,19 @@ class TestTargetSpec:
         with pytest.raises(TargetMismatch):
             align_targets(g, {(0, 1): 8.0, (0, 2): 9.0, (1, 2): 4.0}, {(0, 1, 2): 0.5})
 
+    @pytest.mark.parametrize("sq, cos, message", [
+        ({(0, 1): 4.0, (1, 0): 9.0, (0, 2): 1.0}, {(0, 1, 2): 0.3},
+         "duplicate distance target for edge (0, 1)"),
+        ([((0, 1), 4.0), ((0, 2), 1.0)], [((0, 1, 2), 0.3), ((0, 2, 1), 0.5)],
+         "duplicate cosine target for angle (0, 1, 2)"),
+        ([((1, 2), 4.0), ((2, 1), 4.0)], {}, "duplicate distance target for edge (1, 2)"),
+    ], ids=["mapping", "pairs", "before-cover"])
+    def test_align_rejects_a_repeated_constraint(self, sq, cos, message):
+        """The file path's wording, and before the cover check."""
+        with pytest.raises(TargetMismatch) as caught:
+            align_targets(canonical_three_agent_graph(), sq, cos)
+        assert str(caught.value) == message
+
 
 class TestErrorVector:
     def test_zero_at_realized_targets(self, bench_targets):

@@ -31,7 +31,7 @@ from weakrig import (
     weakly_rigid_1_extension,
 )
 
-from weakrig.fileio import framework_to_dict, growth_log_to_text
+from weakrig.fileio import growth_log_to_text
 from weakrig import henneberg
 from weakrig.henneberg import (
     MAX_ABS_COSINE,
@@ -45,7 +45,7 @@ from weakrig.henneberg import (
 )
 from weakrig.rigidity import compile_graph, constraint_kernel
 
-from conftest import TRIANGLE_POS, full_svd_minimality
+from conftest import TRIANGLE_POS, framework_to_dict, full_svd_minimality
 
 
 NEW_POS = (1.732, 0.0)
