@@ -3,13 +3,12 @@
 A 0-extension adjoins a vertex and two new subtended angles anchored at an
 existing vertex pair; a 1-extension removes one edge and adjoins a vertex
 with three new angles (the third one, at a witness vertex, replaces the
-removed edge).  Both operations add one vertex and a net of two
-constraints, preserving the count ``|E| + |A| = 2n - 3``.  An
-:class:`ExtensionStep` describes one such operation and
-:func:`apply_extension` builds it.  The random generator proposes steps,
-builds each one and keeps it if the new vertex is placed well.  A
-0-extension of a minimal framework is then minimal by the extension
-theorem, so only a 1-extension also has to pass the rank test.
+removed edge).  Both add one vertex and a net of two constraints,
+preserving the count ``|E| + |A| = 2n - 3``, and one checked builder
+makes both.  Growth proposes :class:`ExtensionStep` records and keeps a
+built step whose new vertex is placed well; a 0-extension of a minimal
+framework is then minimal by the extension theorem, so only a
+1-extension also has to pass the rank test.
 """
 
 from __future__ import annotations
@@ -54,58 +53,68 @@ _NEW_ANGLES = {
 }
 
 
+def _added_angles(i: int, j: int, v: int, k: int | None = None) -> tuple[tuple[int, int, int], ...]:
+    """The angles an extension adds for vertex ``v``, as stored: at ``i``, ``j``, then at ``k``."""
+    new = (angle_key(i, j, v), angle_key(j, i, v))
+    return new if k is None else (*new, angle_key(k, i, j))
+
+
 @dataclass(frozen=True)
 class ExtensionStep:
     """One construction step: a growth proposal, and once accepted a growth-log line.
 
-    ``anchors`` are ``(i, j)``, or ``(i, j, k)`` (split edge, then witness).
+    ``anchors`` are ``(i, j)``, or ``(i, j, k)`` (split edge, then witness);
+    the log line adds the angles and removed edge they give, as stored.
     """
 
     kind: str
     new_vertex: int
     anchors: tuple[int, ...]
-    added_angles: tuple[tuple[int, int, int], ...]
     new_position: tuple[float, float]
-    removed_edge: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
+        i, j, *k = self.anchors
         return {
             "kind": self.kind,
             "new_vertex": self.new_vertex,
             "anchors": list(self.anchors),
-            "added_angles": [list(a) for a in self.added_angles],
+            "added_angles": [list(a) for a in _added_angles(i, j, self.new_vertex, *k)],
             "new_position": list(self.new_position),
-            "removed_edge": list(self.removed_edge) if self.removed_edge else None,
+            "removed_edge": list(edge_key(i, j)) if self.kind == KIND_1_EXTENSION else None,
         }
 
 
-def _check_parent(f: Framework, i: int, j: int) -> None:
+def _extend(f: Framework, i: int, j: int, pos, witness: int | None = None) -> Framework:
+    """The one builder of both moves: ``f`` plus a vertex at ``pos`` seen from ``i`` and ``j``.
+
+    A ``witness`` ``k`` makes it a 1-extension: edge ``(i, j)`` is removed
+    and angle ``(k, i, j)`` added.  Bad input raises before anything is
+    built; then :class:`Framework` checks the positions, and a point on the
+    line through ``i`` and ``j`` raises CollinearPlacement.
+    """
     if f.dim != 2:
         raise ValueError("an extension is defined for dim 2")
+    pos = np.asarray(pos, float)
+    if pos.shape != (2,):
+        raise ValueError(f"new position must be 2 coordinates, got {pos.tolist()}")
     n = f.graph.n
     if not (0 <= i < n and 0 <= j < n):
         raise BadAnchor(f"anchor ({i},{j}) out of range for n={n}")
     if i == j:
         raise BadAnchor(f"anchors must be distinct, got ({i},{j})")
-
-
-def _extend(f: Framework, i: int, j: int, pos, edges, witness_angles) -> Framework:
-    """``f`` on ``edges``, plus a vertex at ``pos`` seen from ``i`` and ``j``.
-
-    The new angles at ``i`` and ``j`` come first, then ``witness_angles``.
-    ``f``'s constraints are already normalized and the anchors checked, so
-    only a witness angle is validated: one ``f`` has raises
-    DuplicateConstraint.  A point on the line through ``i`` and ``j``
-    raises CollinearPlacement.
-    """
-    nu = f.graph.n
-    pos = np.asarray(pos, float)
-    witness = [angle_key(*w) for w in witness_angles]
-    for a in witness:
-        if a in f.graph.angles:
-            raise DuplicateConstraint(f"angle {a} appears more than once")
-    angles = (*f.graph.angles, (i, j, nu), (j, i, nu), *witness)
-    graph = Graph(n=nu + 1, edges=tuple(edges), angles=angles)
+    edges, added = f.graph.edges, _added_angles(i, j, n, witness)
+    if witness is not None:
+        edge = edge_key(i, j)
+        if edge not in edges:
+            raise EdgeNotFound(f"edge {edge} is not in the graph")
+        if not 0 <= witness < n:
+            raise BadAnchor(f"witness vertex {witness} out of range for n={n}")
+        if witness in (i, j):
+            raise BadAnchor(f"witness vertex {witness} must differ from the split edge {edge}")
+        if added[2] in f.graph.angles:
+            raise DuplicateConstraint(f"angle {added[2]} appears more than once")
+        edges = tuple(e for e in edges if e != edge)
+    graph = Graph(n=n + 1, edges=edges, angles=f.graph.angles + added)
     extended = Framework(graph=graph, dim=2, positions=np.concatenate([f.positions, pos[None]]))
     a = f.positions[j] - f.positions[i]
     b = pos - f.positions[i]
@@ -117,38 +126,29 @@ def _extend(f: Framework, i: int, j: int, pos, edges, witness_angles) -> Framewo
 
 def weakly_rigid_0_extension(f: Framework, i: int, j: int, pos) -> Framework:
     """Adjoin a vertex at ``pos`` plus the two angles at ``i`` and ``j`` toward it."""
-    _check_parent(f, i, j)
-    return _extend(f, i, j, pos, f.graph.edges, ())
+    return _extend(f, i, j, pos)
 
 
 def weakly_rigid_1_extension(f: Framework, i: int, j: int, k: int, pos) -> Framework:
-    """Split edge ``(i, j)``: remove it, adjoin a vertex and three angles.
+    """Split edge ``(i, j)``: remove it and adjoin a vertex at ``pos``.
 
-    The added angles sit at ``i`` and ``j`` toward the new vertex and at the
-    witness ``k`` toward ``i`` and ``j``.
+    The new angles sit at ``i`` and ``j`` toward it, and at witness ``k`` toward ``i`` and ``j``.
     """
-    _check_parent(f, i, j)
-    edge = edge_key(i, j)
-    if edge not in f.graph.edges:
-        raise EdgeNotFound(f"edge {edge} is not in the graph")
-    n = f.graph.n
-    if not 0 <= k < n:
-        raise BadAnchor(f"witness vertex {k} out of range for n={n}")
-    if k in (i, j):
-        raise BadAnchor(f"witness vertex {k} must differ from the split edge {edge}")
-    edges = [e for e in f.graph.edges if e != edge]
-    return _extend(f, i, j, pos, edges, [(k, i, j)])
+    return _extend(f, i, j, pos, witness=k)
 
 
 def apply_extension(f: Framework, step: ExtensionStep) -> Framework:
-    """Build the framework that ``step`` makes of ``f``."""
+    """Build the framework that ``step`` makes of ``f``, once the step fits ``f``."""
+    if step.kind not in (KIND_0_EXTENSION, KIND_1_EXTENSION):
+        raise ValueError(f"unknown extension kind {step.kind!r}")
+    count = 2 if step.kind == KIND_0_EXTENSION else 3
+    if len(step.anchors) != count:
+        raise BadAnchor(f"a {step.kind} takes {count} anchors, got {len(step.anchors)}")
+    if step.new_vertex != f.graph.n:
+        raise BadAnchor(f"new vertex must be {f.graph.n}, got {step.new_vertex}")
     if step.kind == KIND_0_EXTENSION:
-        i, j = step.anchors
-        return weakly_rigid_0_extension(f, i, j, step.new_position)
-    if step.kind == KIND_1_EXTENSION:
-        i, j, k = step.anchors
-        return weakly_rigid_1_extension(f, i, j, k, step.new_position)
-    raise ValueError(f"unknown extension kind {step.kind!r}")
+        return weakly_rigid_0_extension(f, *step.anchors, step.new_position)
+    return weakly_rigid_1_extension(f, *step.anchors, step.new_position)
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,11 @@ def _propose(f: Framework, rng: np.random.Generator, mix: float, box) -> Extensi
     nu = f.graph.n
     if zero:
         i, j = (int(v) for v in rng.choice(nu, size=2, replace=False))
-        return ExtensionStep(KIND_0_EXTENSION, nu, (i, j), ((i, j, nu), (j, i, nu)), position)
+        return ExtensionStep(KIND_0_EXTENSION, nu, (i, j), position)
     i, j = f.graph.edges[int(rng.integers(f.graph.m))]
     others = [v for v in range(nu) if v not in (i, j)]
     k = others[int(rng.integers(len(others)))]
-    return ExtensionStep(KIND_1_EXTENSION, nu, (i, j, k),
-                         ((i, j, nu), (j, i, nu), (k, i, j)), position, removed_edge=(i, j))
+    return ExtensionStep(KIND_1_EXTENSION, nu, (i, j, k), position)
 
 
 def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> str | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ def tetra_mixed_3d() -> Framework:
     return Framework(g, 3, pos)
 
 
+def seven_edge_seed() -> Framework:
+    """Minimally rigid on five vertices with seven edges, so most steps can split one."""
+    g = build_graph(5, edges=[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    return Framework(g, 2, np.array([[0.0, 0.0], [2.0, 0.3], [0.8, 1.7], [2.6, 2.1], [1.1, 3.4]]))
+
+
 def random_positions(rng, n, dim=2, min_sep=0.3):
     """Well-separated random points, rejection-sampled."""
     while True:
@@ -150,3 +157,57 @@ def full_svd_minimality(f: Framework, rel_tol: float = 1e-9) -> MinimalityResult
     if g.m == 1:
         return MinimalityResult(False, "removable constraint", R.row_labels[0])
     return MinimalityResult(minimal=True, reason="rigid and no constraint removable")
+
+
+EXACT_RANK_PRIME = 2**61 - 1
+
+
+def exact_rank(f: Framework) -> int:
+    """The rank of ``R_W`` modulo ``2^61 - 1``, from integers and without a tolerance.
+
+    Float coordinates are dyadic rationals, so one power of two scales them
+    to integers.  A distance row stays ``2z``.  A cosine row with rays
+    ``a``, ``b`` from its apex is multiplied by ``|a|^3 |b|^3``: its tips
+    get ``|b|^2 (|a|^2 b - (a.b) a)`` and ``|a|^2 (|b|^2 a - (a.b) b)``,
+    and the apex minus their sum.  Scaling keeps the rank, and the rank
+    modulo a prime is never above the rank over Q, so the required rank
+    here certifies ``f`` infinitesimally weakly rigid at exactly its
+    positions.
+    """
+    exact = [[Fraction(c) for c in point] for point in f.positions.tolist()]
+    scale = max(c.denominator for point in exact for c in point)
+    pts = [[int(c * scale) for c in point] for point in exact]
+    d = f.dim
+
+    def row(*blocks):
+        entries = [0] * (d * f.n)
+        for v, block in blocks:
+            entries[d * v:d * v + d] = block
+        return entries
+
+    rows = []
+    for i, j in f.graph.edges:
+        z = [x - y for x, y in zip(pts[i], pts[j])]
+        rows.append(row((i, [2 * x for x in z]), (j, [-2 * x for x in z])))
+    for k, i, j in f.graph.angles:
+        a = [x - y for x, y in zip(pts[i], pts[k])]
+        b = [x - y for x, y in zip(pts[j], pts[k])]
+        aa, bb, ab = (sum(x * y for x, y in zip(u, w)) for u, w in ((a, a), (b, b), (a, b)))
+        tip_i = [bb * (aa * y - ab * x) for x, y in zip(a, b)]
+        tip_j = [aa * (bb * x - ab * y) for x, y in zip(a, b)]
+        rows.append(row((i, tip_i), (j, tip_j), (k, [-x - y for x, y in zip(tip_i, tip_j)])))
+    p, rank = EXACT_RANK_PRIME, 0
+    rows = [[x % p for x in r] for r in rows]
+    for col in range(d * f.n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        top = [x * inverse % p for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank

@@ -527,7 +527,8 @@ class TestGrow:
 
     def test_log_round_trip(self, tmp_path, capsys):
         # Each log line is one step's dict; folding the steps rebuilt from
-        # those dicts over the seed gives the --out framework.
+        # their kind, new vertex, anchors and position over the seed gives
+        # the --out framework, and each rebuilt step writes its line again.
         out_path, log_path = tmp_path / "g12.json", tmp_path / "g12.log"
         assert main(["grow", "--n", "12", "--seed", "42",
                      "--out", str(out_path), "--log", str(log_path)]) == 0
@@ -539,14 +540,11 @@ class TestGrow:
         f = seed
         for line in lines:
             d = json.loads(line)
-            f = apply_extension(f, ExtensionStep(
-                kind=d["kind"],
-                new_vertex=d["new_vertex"],
-                anchors=tuple(d["anchors"]),
-                added_angles=tuple(map(tuple, d["added_angles"])),
-                new_position=tuple(d["new_position"]),
-                removed_edge=tuple(d["removed_edge"]) if d["removed_edge"] else None,
-            ))
+            step = ExtensionStep(kind=d["kind"], new_vertex=d["new_vertex"],
+                                 anchors=tuple(d["anchors"]),
+                                 new_position=tuple(d["new_position"]))
+            assert step.to_dict() == d
+            f = apply_extension(f, step)
         grown = load_framework(str(out_path))
         assert np.array_equal(f.positions, grown.positions)
         assert f.graph == grown.graph

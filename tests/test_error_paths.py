@@ -63,9 +63,8 @@ def swapped_cosines() -> None:
     error_vector(two_angles(), t)
 
 
-def split_step(kind: str) -> ExtensionStep:
-    return ExtensionStep(kind=kind, new_vertex=3, anchors=(0, 1), added_angles=(),
-                         new_position=(0.5, 2.0))
+def k3_step(kind: str, new_vertex: int = 3) -> ExtensionStep:
+    return ExtensionStep(kind=kind, new_vertex=new_vertex, anchors=(0, 1), new_position=(0.5, 2.0))
 
 
 RAISES = {
@@ -93,8 +92,17 @@ RAISES = {
     "extension-dim": (lambda: weakly_rigid_0_extension(k4_3d(), 0, 1, (0.5, 2.0)), ValueError,
                       "an extension is defined for dim 2"),
     "growth-dim": (lambda: grow_random(k4_3d(), 1, 0), ValueError, "growth is defined for dim 2"),
-    "extension-kind": (lambda: apply_extension(k3(), split_step("2-extension")), ValueError,
+    "extension-kind": (lambda: apply_extension(k3(), k3_step("2-extension")), ValueError,
                        "unknown extension kind '2-extension'"),
+    "step-anchor-count": (lambda: apply_extension(k3(), k3_step("1-extension")), BadAnchor,
+                          "a 1-extension takes 3 anchors, got 2"),
+    "step-new-vertex": (lambda: apply_extension(k3(), k3_step("0-extension", new_vertex=7)),
+                        BadAnchor, "new vertex must be 3, got 7"),
+    "position-3-coordinates": (lambda: weakly_rigid_0_extension(k3(), 0, 1, (0.5, 2.0, 1.0)),
+                               ValueError,
+                               "new position must be 2 coordinates, got [0.5, 2.0, 1.0]"),
+    "position-1-coordinate": (lambda: weakly_rigid_0_extension(k3(), 0, 1, (0.5,)), ValueError,
+                              "new position must be 2 coordinates, got [0.5]"),
     "zero-ray": (lambda: cosine_edge_partials([0.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
                  CollocatedPoints, "cosine partials need nonzero apex-adjacent edges"),
     "empty-rank": (lambda: numerical_rank(np.zeros((0, 3))), ValueError,
