@@ -11,12 +11,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import fileio
-from .core import Framework, build_graph, coordinate_dot, min_separation, stable_norm
+from .core import Framework, build_graph, coordinate_dot, min_separation, vector_norm
 from .errors import WeakRigError
 from .formation import (
     SimulationConfig,
@@ -165,7 +166,7 @@ def cmd_simulate(args) -> int:
         if eq.kind == "incorrect":
             code = EXIT_INCORRECT_EQ
     elif np.isfinite(final).all():  # the flow's velocity at the final state: -R_W^T e
-        summary["final_gradient_norm"] = float(stable_norm(trace.final_velocity))
+        summary["final_gradient_norm"] = vector_norm(trace.final_velocity)
     if args.json:  # JSON has no NaN or Infinity: a norm that is not finite is null
         print(json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
                           for key, v in summary.items()}, sort_keys=True))
@@ -184,6 +185,9 @@ def cmd_simulate(args) -> int:
 def cmd_grow(args) -> int:
     if args.n < 3:
         print("error: --n must be at least 3", file=sys.stderr)
+        return EXIT_ERROR
+    if args.out and args.log and os.path.realpath(args.out) == os.path.realpath(args.log):
+        print(f"error: --out and --log name the same file {args.out}", file=sys.stderr)
         return EXIT_ERROR
     result = grow_random(K3_SEED, steps=args.n - 3, rng_seed=args.seed, mix=args.mix)
     final = result.final

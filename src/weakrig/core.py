@@ -144,15 +144,10 @@ def min_separation(positions: np.ndarray) -> float:
     return math.sqrt(coordinate_dot(diff, diff).min())
 
 
-def stable_norm(a: np.ndarray, axis: int | None = None):
-    """``np.linalg.norm(a, axis=axis)``, redone scaled by the row's max |entry| if it overflows."""
-    with np.errstate(all="ignore"):
-        norm = np.linalg.norm(a, axis=axis, keepdims=True)
-        if not np.isfinite(norm).all():
-            scale = np.abs(a).max(axis=axis, keepdims=True)
-            scaled = scale * np.linalg.norm(a / scale, axis=axis, keepdims=True)
-            norm = np.where(np.isfinite(norm) | ~np.isfinite(scale), norm, scaled)
-    return norm.squeeze(axis)
+def vector_norm(v) -> float:
+    """Euclidean norm of all entries of ``v``: ``math.hypot``, within 1 ulp, never over- or
+    underflowing (an inf entry gives inf, else a NaN gives NaN; no entries give 0.0)."""
+    return math.hypot(*np.ravel(v).tolist())
 
 
 def collocated(positions: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Framework, Graph, angle_key, build_graph, collocation_tolerance_at, edge_key,
-                   min_separation, stable_norm)
+                   min_separation, vector_norm)
 from .errors import TargetMismatch, WrongTopology
 from .rigidity import (
     DEFAULT_FD_STEP,
@@ -129,7 +129,7 @@ class ErrorVector:
     m: int
 
     def norm(self) -> float:
-        return float(stable_norm(self.values))
+        return vector_norm(self.values)
 
 
 def error_vector(f: Framework, t: TargetSpec) -> ErrorVector:
@@ -236,7 +236,7 @@ def classify_equilibrium(f: Framework, t: TargetSpec, tol: float = 1e-6) -> Equi
         raise WrongTopology("equilibrium classification needs the three-agent topology")
     tv, cg = _target_values(f, t), _compile_for_flow(f)
     values, _, grad = constraint_kernel(f.positions, cg, tv)
-    enorm, gnorm = float(stable_norm(values - tv)), float(stable_norm(grad))
+    enorm, gnorm = vector_norm(values - tv), vector_norm(grad)
     if enorm < tol:
         kind = "desired"
     elif gnorm < tol:
@@ -300,9 +300,9 @@ class SimulationConfig:
 class SimulationTrace:
     """Dense record of a gradient-flow run, one sample per accepted step.
 
-    ``times``, ``positions`` and ``errors`` of a simulated run are views of
-    :func:`_rk4`'s flat float64 record, so a three-agent sample costs 80
-    bytes there and 24 more in ``error_norm``, ``lyapunov`` and ``det_z``.
+    ``times``, ``positions``, ``errors`` and ``error_norm`` (the ``||e||`` the loop tested)
+    of a simulated run are views of :func:`_rk4`'s flat float64 record, so a three-agent
+    sample costs 88 bytes there and 16 more in ``lyapunov`` and ``det_z``.
     ``final_velocity``, stacked ``2n``, is the RK4 loop's last ``k1``: ``-R_W^T e`` there.
     """
 
@@ -418,31 +418,30 @@ def _collocation_gate(p):
 def _rk4(p, stage, combine, degenerate, cfg: SimulationConfig):
     """Classical fixed-step RK4 of ``p' = v`` from the state ``p``.
 
-    ``stage(p, a, k)`` returns the velocity and errors ``(v, e)`` at
-    ``p + a*k`` (at ``p`` when ``k`` is None), and ``combine(p, s, k1, k2,
-    k3, k4)`` returns the next state ``p + s*(k1 + 2k2 + 2k3 + k4)``, never
-    changing ``p`` in place.  A state is a tuple of six floats (the
-    three-agent flow) or a numpy array (the kernel flow).  Every accepted
-    state is appended with its time and its errors as one packed row of a
-    flat ``array("d")`` buffer, 8 bytes per float; the velocity there is the
-    next step's ``k1``, so a step costs four ``stage`` calls and one
-    ``combine``.  A recorded state ends the run, tested in this order:
-    diverged when an error is not finite (as any coordinate that is not);
-    degenerate when ``degenerate(p, big)`` (agents collocated; ``big`` is
-    the state's ``max|x|``, computed once per state); diverged when a
-    coordinate exceeds ``divergence_bound`` (not on the initial state);
-    converged when ``||e|| < convergence_eps``.  Otherwise the run stops at
-    ``t_max``.
-    Returns ``(times, states, errors, velocity, status)``: numpy views of the
-    buffer's columns, shaped ``(T,)``, ``(T, size of p)`` and ``(T, len(e))``,
+    ``stage(p, a, k)`` returns the velocity and errors ``(v, e)`` at ``p + a*k`` (at ``p``
+    when ``k`` is None), and ``combine(p, s, k1, k2, k3, k4)`` returns the next state
+    ``p + s*(k1 + 2k2 + 2k3 + k4)``, never changing ``p`` in place.  A state is a tuple of
+    six floats (the three-agent flow) or a numpy array (the kernel flow).  Every accepted
+    state is appended with its time, its errors and ``||e||`` (``math.hypot``, as
+    :func:`core.vector_norm`) as one packed row of a flat ``array("d")`` buffer, 8 bytes per
+    float; the velocity there is the next step's ``k1``, so a step costs four ``stage``
+    calls and one ``combine``.  A recorded state ends the run, tested in this order:
+    diverged when an error is not finite (as any coordinate that is not); degenerate when
+    ``degenerate(p, big)`` (agents collocated; ``big`` is the state's ``max|x|``, computed
+    once per state); diverged when ``big`` exceeds the initial state's ``max|x|`` plus
+    ``divergence_bound``, so a translated start runs alike (not on the initial state);
+    converged when ``||e|| < convergence_eps``.  Otherwise the run stops at ``t_max``.
+    Returns ``(times, states, errors, norms, velocity, status)``: numpy views of the
+    buffer's columns, shaped ``(T,)``, ``(T, size of p)``, ``(T, len(e))`` and ``(T,)``,
     then the velocity ``k1`` at the last recorded state.
     """
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     k1, e = stage(p, 0.0, None)
-    size, width = np.size(p), 1 + np.size(p) + len(e)
-    pack = struct.Struct(f"{width}d").pack  # one row per state: t, x, e
+    size, width = np.size(p), 2 + np.size(p) + len(e)
+    pack = struct.Struct(f"{width}d").pack  # one row per state: t, x, e, ||e||
+    bound = float(np.abs(p).max()) + cfg.divergence_bound
     record = array("d")
     k = 0
     status = None
@@ -450,14 +449,14 @@ def _rk4(p, stage, combine, degenerate, cfg: SimulationConfig):
         t = k * dt
         x = p if isinstance(p, tuple) else p.ravel().tolist()
         errs = e if isinstance(e, tuple) else e.tolist()
-        record.frombytes(pack(t, *x, *errs))
-        big = max(map(abs, x))
         norm = math.hypot(*errs)
+        record.frombytes(pack(t, *x, *errs, norm))
+        big = max(map(abs, x))
         if not norm < math.inf:  # only constrained coordinates move, so a NaN in x shows in e
             status = "diverged"
         elif degenerate(p, big):
             status = "degenerate"
-        elif k and big > cfg.divergence_bound:
+        elif k and big > bound:
             status = "diverged"
         elif norm < cfg.convergence_eps:
             status = "converged"
@@ -471,14 +470,13 @@ def _rk4(p, stage, combine, degenerate, cfg: SimulationConfig):
             k += 1
             k1, e = stage(p, 0.0, None)
     table = np.frombuffer(record).reshape(-1, width)
-    return table[:, 0], table[:, 1:1 + size], table[:, 1 + size:], k1, status
+    return table[:, 0], table[:, 1:1 + size], table[:, 1 + size:-1], table[:, -1], k1, status
 
 
-def _trace(times, states, errs, status, canonical: bool, velocity=None) -> SimulationTrace:
+def _trace(times, states, errs, norms, status, canonical: bool, velocity=None) -> SimulationTrace:
     """The trace of :func:`_rk4`'s record; arrays are used as they are, lists converted."""
     positions = np.asarray(states).reshape(len(states), -1, 2)
-    errors = np.asarray(errs)
-    error_norm = stable_norm(errors, axis=1)
+    errors, error_norm = np.asarray(errs), np.asarray(norms)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's V and det Z
         det = _det(positions) if canonical else None
         lyapunov = 0.5 * error_norm**2
@@ -528,5 +526,5 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
             return x + scalars[s] * (k1 + two * k2 + two * k3 + k4)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a step out of the float range ends the run
-        times, states, errs, velocity, status = _rk4(p0, stage, combine, degenerate, cfg)
-        return _trace(times, states, errs, status, canonical, velocity)
+        times, states, errs, norms, velocity, status = _rk4(p0, stage, combine, degenerate, cfg)
+        return _trace(times, states, errs, norms, status, canonical, velocity)

@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -318,7 +319,7 @@ class TestSimulate:
         assert 1e253 < summary["final_gradient_norm"] < 1e254
 
     @pytest.mark.parametrize("targets, argv, error_norm, gradient_norm", [
-        (None, ["--dt", "20"], 1.489061072822853e+217, None),  # the gradient overflows
+        (None, ["--dt", "20"], 1.4890610728228531e+217, None),  # the gradient overflows
         (None, ["--dt", "1000"], None, None),  # the cosine is NaN, and so the gradient
         ({"sq_distances": [[0, 1, 1e150], [0, 2, 9.0]], "cosines": [[0, 1, 2, 0.5]]},
          ["--t-max", "1"], None, None),  # the state itself turns NaN
@@ -338,6 +339,12 @@ class TestSimulate:
         assert summary["status"] == "diverged" and summary["steps"] == 1
         assert summary["final_error_norm"] == error_norm
         assert summary["final_gradient_norm"] == gradient_norm
+        if error_norm is not None:  # the correctly rounded ||e|| of the run's last errors
+            trace = simulate(load_framework(fw), canonical_targets(*BENCH_TARGETS),
+                             SimulationConfig(dt=float(argv[1])))
+            with mpmath.workprec(300):
+                want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(e) ** 2 for e in trace.errors[-1]))
+            assert error_norm == float(want)
 
     def test_diverged_run_is_not_classified(self, tmp_path, capsys):
         # A state near 1e84 is no equilibrium: no Jacobian is read off it, and
@@ -524,6 +531,20 @@ class TestGrow:
 
     def test_n_too_small(self, capsys):
         assert main(["grow", "--n", "2", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("log", ["same.txt", "sub/../same.txt", "link.txt"])
+    def test_out_and_log_on_one_file(self, tmp_path, capsys, monkeypatch, log):
+        # The log would replace the framework; nothing is grown or written.
+        (tmp_path / "same.txt").write_text("kept")
+        (tmp_path / "link.txt").symlink_to(tmp_path / "same.txt")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "grow_random", lambda *a, **k: pytest.fail("grew"))
+        assert main(["grow", "--n", "5", "--seed", "1", "--out", "same.txt", "--log", log]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: --out and --log name the same file")
+        assert (tmp_path / "same.txt").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "same.txt"]
 
     def test_log_round_trip(self, tmp_path, capsys):
         # Each log line is one step's dict; folding the steps rebuilt from

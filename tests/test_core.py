@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from weakrig import (
 )
 from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance,
                           collocation_tolerance_at, coordinate_dot, edge_key, min_separation,
-                          stable_norm)
+                          vector_norm)
 
 from conftest import TRIANGLE_POS, random_framework, random_positions
 
@@ -290,24 +291,26 @@ class TestCollocationTolerance:
             assert collocation_tolerance_at(max(map(abs, p.ravel().tolist()), default=0.0)) == want
 
 
-class TestStableNorm:
-    def test_finite_norms_keep_their_bits(self):
+class TestVectorNorm:
+    def test_within_one_ulp_of_a_300_bit_reference(self):
         rng = np.random.default_rng(43)
-        rows = rng.normal(scale=10.0 ** rng.uniform(-100, 100, size=(50, 1)), size=(50, 3))
-        assert np.array_equal(stable_norm(rows, axis=1), np.linalg.norm(rows, axis=1))
-        for v in rows:
-            assert float(stable_norm(v)) == float(np.linalg.norm(v))
+        with mpmath.workprec(300):
+            for _ in range(2000):
+                v = rng.normal(size=int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-150, 150)
+                want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in v.tolist()))
+                got = vector_norm(v)
+                assert abs(mpmath.mpf(got) - want) <= math.ulp(float(want))
 
-    def test_overflowing_norm_is_rescaled(self):
-        v = np.array([6e168, -3e168, 0.75])
-        with np.errstate(all="raise"):
-            got = float(stable_norm(v))
-            rows = stable_norm(np.array([v, [3.0, 4.0, 0.0]]), axis=1)
+    def test_overflow_free(self):
+        got = vector_norm(np.array([6e168, -3e168, 0.75]))
         assert got == pytest.approx(1e168 * math.sqrt(45.0), rel=1e-15)
-        assert rows[0] == got and rows[1] == 5.0
+        assert vector_norm(np.array([[1e300, 1e300], [1e-300, 0.0]])) == pytest.approx(
+            math.sqrt(2.0) * 1e300, rel=1e-15)
 
-    def test_infinite_and_nan_entries_are_kept(self):
-        rows = np.array([[np.inf, 1.0], [np.nan, 1e200], [1e300, 1e300]])
-        got = stable_norm(rows, axis=1)
-        assert got[0] == np.inf and np.isnan(got[1])
-        assert got[2] == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+    def test_infinite_and_nan_entries_stay_non_finite(self):
+        assert vector_norm(np.array([np.inf, 1.0])) == math.inf
+        assert vector_norm(np.array([np.nan, np.inf])) == math.inf
+        assert math.isnan(vector_norm(np.array([np.nan, 1e200])))
+
+    def test_empty_vector_is_zero(self):
+        assert vector_norm(np.zeros(0)) == 0.0 and vector_norm(()) == 0.0

@@ -28,6 +28,7 @@ from weakrig import (
     weak_rigidity_function,
 )
 from weakrig import formation
+from weakrig.core import vector_norm
 from weakrig.formation import _det, _rhs_canonical, _rhs_generic, _trace
 from weakrig.rigidity import compile_graph
 
@@ -270,7 +271,8 @@ class TestSimulate:
         states = [[0.0, 0.0, 1.0, 0.0, 0.0, 1.0], [-3e200, 0.0, 1e200, 2e200, 0.0, -4e200]]
         errs = [(1.0, 2.0, 2.0), (3e200, -4e200, 0.5)]
         with np.errstate(over="raise"):
-            trace = _trace([0.0, 1.0], states, errs, "diverged", canonical=True)
+            trace = _trace([0.0, 1.0], states, errs, [vector_norm(e) for e in errs], "diverged",
+                           canonical=True)
         assert trace.error_norm[0] == 3.0 and trace.lyapunov[0] == 4.5
         assert trace.error_norm[1] == pytest.approx(5e200, rel=1e-15)
         assert trace.lyapunov[1] == math.inf and trace.det_z[1] == -math.inf

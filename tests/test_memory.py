@@ -1,9 +1,10 @@
 """Memory gates, measured with tracemalloc: a recorded flow state and a trace CSV write.
 
-A three-agent state costs 80 bytes in the flat buffers of ``_rk4`` and 24
-more in the trace's summaries; a trace CSV is formatted and written one
-block of rows at a time.  Lists of Python floats per state (about 570 bytes)
-or the whole CSV text held at once (about 640 bytes per row) fail these.
+A three-agent state costs 88 bytes in the flat buffer of ``_rk4``, its
+``||e||`` included, and 16 more in the trace's ``V`` and ``det Z``; a trace
+CSV is formatted and written one block of rows at a time.  Lists of Python
+floats per state (about 570 bytes) or the whole CSV text held at once (about
+640 bytes per row) fail these.
 """
 
 from __future__ import annotations

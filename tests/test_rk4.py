@@ -28,7 +28,7 @@ from weakrig import (
     weak_rigidity_function,
 )
 from weakrig import formation
-from weakrig.core import collocated, collocation_tolerance, min_separation
+from weakrig.core import collocated, collocation_tolerance, min_separation, vector_norm
 from weakrig.fileio import CSV_BLOCK_ROWS, trace_to_csv, write_trace_csv
 from weakrig.formation import _collocated_three, _collocation_gate, _rhs_generic, _rk4, _trace
 from weakrig.rigidity import compile_graph
@@ -73,8 +73,8 @@ def loop_simulate_canonical(x0, targets, cfg):
     d1s, d2s, cs = targets
     dt = cfg.dt
     eps = cfg.convergence_eps
-    bound = cfg.divergence_bound
     x = tuple(float(v) for v in x0)
+    bound = max(abs(v) for v in x) + cfg.divergence_bound  # the start's max|x| plus the bound
     times = [0.0]
     states = [x]
     errs = []
@@ -137,6 +137,7 @@ def array_rk4(p, rhs, degenerate, cfg):
     sixth = dt / 6.0
     k1, e = rhs(p)
     times, states, errs = [0.0], [p.tolist()], [e]
+    bound = max(map(abs, p.tolist())) + cfg.divergence_bound
     if degenerate(p):
         return times, states, errs, "degenerate"
     if math.hypot(*e) < cfg.convergence_eps:
@@ -157,7 +158,7 @@ def array_rk4(p, rhs, degenerate, cfg):
         if degenerate(p):
             status = "degenerate"
             break
-        if max(map(abs, x)) > cfg.divergence_bound:
+        if max(map(abs, x)) > bound:
             status = "diverged"
             break
         if math.hypot(*e) < cfg.convergence_eps:
@@ -266,8 +267,9 @@ def synthetic_trace(rows: int, canonical: bool) -> SimulationTrace:
     """A trace of random states: three agents with det Z, or five agents and seven errors."""
     rng = np.random.default_rng(rows)
     n, errors = (3, 3) if canonical else (5, 7)
-    return _trace(np.arange(rows) * 1e-3, rng.normal(size=(rows, 2 * n)),
-                  rng.normal(size=(rows, errors)), "max-time", canonical)
+    errs = rng.normal(size=(rows, errors))
+    return _trace(np.arange(rows) * 1e-3, rng.normal(size=(rows, 2 * n)), errs,
+                  [vector_norm(e) for e in errs], "max-time", canonical)
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -320,8 +322,44 @@ def run_rk4(velocity, cfg, errors=lambda x: ()):
     def combine(p, s, k1, k2, k3, k4):
         return p + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    *trace, _, status = _rk4(x0, stage, combine, _collocated_three, cfg)
-    return (*trace, status)
+    times, states, errs, _, _, status = _rk4(x0, stage, combine, _collocated_three, cfg)
+    return times, states, errs, status
+
+
+class TestReportedNorm:
+    def test_status_agrees_with_the_reported_norm(self):
+        runs = [canonical_trace(name)[1:] for name in CANONICAL_CASES]
+        runs += [(cfg, simulate(f0, t, cfg)) for f0, t, cfg in generic_cases()]
+        for cfg, trace in runs:
+            converged = trace.terminal_status == "converged"
+            assert converged == (trace.error_norm[-1] < cfg.convergence_eps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = [vector_norm(e) for e in trace.errors]
+            assert np.array_equal(trace.error_norm, norms, equal_nan=True)
+
+    def test_norm_at_the_threshold_is_below_it(self):
+        # At step 7 ||e|| is 0.6195942189772734; a norm one bit high read eps itself.
+        eps = 0.6195942189772735
+        f0 = Framework(canonical_three_agent_graph(), 2, [[0.0, 0.0], [2.5, 0.3], [-1.0, 1.2]])
+        cfg = SimulationConfig(dt=0.01, t_max=20.0, convergence_eps=eps)
+        trace = simulate(f0, canonical_targets(4.0, 9.0, 0.3), cfg)
+        assert trace.terminal_status == "converged" and len(trace) == 8
+        assert trace.error_norm[-1] < eps
+
+
+class TestTranslatedStart:
+    @pytest.mark.parametrize("name", list(CANONICAL_CASES))
+    def test_ends_alike(self, name):
+        # A shift past divergence_bound (1e6) ended the run at its first step.
+        f0, cfg, trace = canonical_trace(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = simulate(f0.with_positions(f0.positions + [2e6, 0.0]), PAPER_TARGETS, cfg)
+        assert moved.terminal_status == trace.terminal_status
+        if name == "converges-early":  # the shift rounds coordinates to 2^-31, and ||e|| falls
+            assert abs(len(moved) - len(trace)) <= 5  # through eps slowly: 9 377 steps, not 9 375
+        else:
+            assert len(moved) == len(trace)
+
 
 
 class TestRk4Loop:
