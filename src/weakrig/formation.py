@@ -294,6 +294,8 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if self.t_max < 0.0:
             raise ValueError("t_max must be >= 0")
+        if self.divergence_bound < 0.0:
+            raise ValueError("divergence_bound must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ framework is then minimal by the extension theorem, so only a
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Framework, Graph, angle_key, coordinate_dot, edge_key
+from .core import Framework, Graph, angle_key, edge_key
 from .errors import (
     BadAnchor,
     CollinearPlacement,
@@ -28,7 +29,7 @@ from .errors import (
     PlacementExhausted,
     SeedNotRigid,
 )
-from .rigidity import compile_graph, constraint_kernel, is_minimally_weakly_rigid
+from .rigidity import is_minimally_weakly_rigid
 
 MIN_ANGLE_DEG = 5.0
 DEFAULT_MIX = 0.5  # probability of a 0-extension per growth step
@@ -44,13 +45,6 @@ UNBUILDABLE = "unbuildable"
 TOO_CLOSE = "too_close"
 SMALL_ANGLE = "small_angle"
 NOT_MINIMAL = "not_minimal"
-
-# The new angles of a step on the points it touches, (i, j, v), or (i, j, v, k)
-# for a 1-extension; compiled uncached: the cache keeps the graphs of whole frameworks.
-_NEW_ANGLES = {
-    KIND_0_EXTENSION: compile_graph.__wrapped__(Graph(3, angles=((0, 1, 2), (1, 0, 2)))),
-    KIND_1_EXTENSION: compile_graph.__wrapped__(Graph(4, angles=((0, 1, 2), (1, 0, 2), (3, 0, 1)))),
-}
 
 
 def _added_angles(i: int, j: int, v: int, k: int | None = None) -> tuple[tuple[int, int, int], ...]:
@@ -196,7 +190,7 @@ def _propose(f: Framework, rng: np.random.Generator, mix: float, box) -> Extensi
     The kind, the position (uniform in ``f``'s :func:`_box` region, as
     ``origin + r * span`` per coordinate, the bits of ``lo - 0.5 * diameter
     + r * (hi - lo + diameter)``), then the anchor pair, or the split edge
-    and the witness.
+    and the witness.  The pair is ``rng.choice(nu, 2, replace=False)``'s, bit for bit.
     """
     zero = rng.random() < mix or f.graph.m <= 2
     (ox, oy), (sx, sy), _ = box
@@ -204,12 +198,22 @@ def _propose(f: Framework, rng: np.random.Generator, mix: float, box) -> Extensi
     position = (ox + rx * sx, oy + ry * sy)
     nu = f.graph.n
     if zero:
-        i, j = (int(v) for v in rng.choice(nu, size=2, replace=False))
-        return ExtensionStep(KIND_0_EXTENSION, nu, (i, j), position)
+        i, j = int(rng.integers(nu - 1)), int(rng.integers(nu))
+        pair = (i, nu - 1 if j == i else j)  # numpy's Floyd draw, then its shuffle:
+        pair = pair if rng.integers(2) else pair[::-1]  # a swap on a 0, at half the cost
+        return ExtensionStep(KIND_0_EXTENSION, nu, pair, position)
     i, j = f.graph.edges[int(rng.integers(f.graph.m))]
     others = [v for v in range(nu) if v not in (i, j)]
     k = others[int(rng.integers(len(others)))]
     return ExtensionStep(KIND_1_EXTENSION, nu, (i, j, k), position)
+
+
+def _cosine(apex, a, b) -> float:
+    """The unclamped cosine at ``apex`` toward ``a`` and ``b``: :func:`constraint_kernel`'s bits."""
+    (kx, ky), (ax, ay), (bx, by) = apex, a, b
+    ax, ay, bx, by = ax - kx, ay - ky, bx - kx, by - ky
+    inv = 1.0 / math.sqrt((ax * ax + ay * ay) * (bx * bx + by * by))
+    return ((0.0 + ax * bx) + ay * by) * inv
 
 
 def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> str | None:
@@ -218,11 +222,10 @@ def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> st
     TOO_CLOSE: the new vertex is nearer than ``MIN_SEPARATION_FRACTION``
     of the parent's ``diameter`` (see :func:`_box`) to another vertex.
     SMALL_ANGLE: a new angle lies within ``MIN_ANGLE_DEG`` of 0 or 180
-    degrees; the new cosines come from :func:`constraint_kernel` on the 3
-    or 4 points the step touches, against the precompiled ``_NEW_ANGLES``
-    of its kind, from the same coordinate differences (so the same bits)
-    as on the whole candidate.  NOT_MINIMAL: a 1-extension fails
-    :func:`is_minimally_weakly_rigid`.
+    degrees.  Both run in Python floats on the points the step touches,
+    with :func:`constraint_kernel`'s bits; a NaN cosine (past the float
+    range, where all are 0 or NaN) decides as numpy's ``max`` would.
+    NOT_MINIMAL: a 1-extension fails :func:`is_minimally_weakly_rigid`.
 
     A 0-extension needs no rank test, by the extension theorem (Tay &
     Whiteley, "Generating isostatic frameworks", 1985):
@@ -240,16 +243,33 @@ def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> st
       ``i`` and ``j``.  The 5 degree bound on the new cosine at ``i``
       already rules that out, so no further tolerance is needed.
     """
-    p = candidate.positions
-    gap = p[:-1] - p[-1]
-    if math.sqrt(coordinate_dot(gap, gap).min()) < MIN_SEPARATION_FRACTION * diameter:
+    *parent, v = candidate.positions.tolist()
+    vx, vy = v
+    nearest = min([(x - vx) * (x - vx) + (y - vy) * (y - vy) for x, y in parent])
+    if math.sqrt(nearest) < MIN_SEPARATION_FRACTION * diameter:
         return TOO_CLOSE
-    touched = p.take((*step.anchors[:2], step.new_vertex, *step.anchors[2:]), axis=0)
-    if np.abs(constraint_kernel(touched, _NEW_ANGLES[step.kind])[0]).max() >= MAX_ABS_COSINE:
+    i, j, *k = (parent[a] for a in step.anchors)
+    cosines = [_cosine(i, j, v), _cosine(j, i, v), *(_cosine(w, i, j) for w in k)]
+    if max(map(abs, cosines)) >= MAX_ABS_COSINE:
         return SMALL_ANGLE
     if step.kind == KIND_1_EXTENSION and not is_minimally_weakly_rigid(candidate):
         return NOT_MINIMAL
     return None
+
+
+@dataclass(frozen=True)
+class _Seed:
+    """A 2D growth seed keyed by value, by graph and position bytes; the framework rides along."""
+
+    graph: Graph
+    positions: bytes
+    framework: Framework = field(compare=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_is_minimal(seed: _Seed) -> bool:
+    """:func:`is_minimally_weakly_rigid` of a seed; equal seeds share one verdict."""
+    return bool(is_minimally_weakly_rigid(seed.framework))
 
 
 def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
@@ -270,12 +290,14 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
     otherwise pays only for what it adds.  A proposal that cannot be built
     (collinear or collocated, or re-adding an angle the graph has) is
     rejected too.  A step that fails 1000 attempts raises
-    PlacementExhausted; a seed that is not 2D, ValueError.  Deterministic
-    for a fixed ``rng_seed``.
+    PlacementExhausted; a seed that is not 2D, ValueError; one that is not
+    minimal, SeedNotRigid.  Each distinct seed (graph and position bits)
+    is rank-tested once per process.  Deterministic for a fixed ``rng_seed``.
     """
     if seed_framework.dim != 2:
         raise ValueError("growth is defined for dim 2")
-    if not is_minimally_weakly_rigid(seed_framework):
+    seed = _Seed(seed_framework.graph, seed_framework.positions.tobytes(), seed_framework)
+    if not _seed_is_minimal(seed):
         raise SeedNotRigid("growth seed must be minimally (weakly) rigid")
     rng = np.random.default_rng(rng_seed)
     frameworks = [seed_framework]

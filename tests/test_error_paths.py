@@ -85,6 +85,8 @@ RAISES = {
                               ValueError, "cannot realize zero target distances"),
     "zero-dt": (lambda: SimulationConfig(dt=0.0), ValueError, "dt must be positive"),
     "negative-t-max": (lambda: SimulationConfig(t_max=-1.0), ValueError, "t_max must be >= 0"),
+    "negative-divergence-bound": (lambda: SimulationConfig(divergence_bound=-1.0), ValueError,
+                                  "divergence_bound must be >= 0"),
     "anchor-range": (lambda: weakly_rigid_0_extension(k3(), 0, 5, (0.5, 2.0)), BadAnchor,
                      "anchor (0,5) out of range for n=3"),
     "witness-range": (lambda: weakly_rigid_1_extension(k3(), 0, 1, 7, (0.5, 2.0)), BadAnchor,

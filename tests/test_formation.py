@@ -188,6 +188,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimulationConfig(**{name: value})
 
+    def test_zero_divergence_bound_runs_to_max_time(self, bench_initial, bench_targets):
+        # The paper start never leaves its initial max|x|; a negative bound is
+        # refused, as it would end every run at its first step.
+        cfg = SimulationConfig(t_max=1.0, divergence_bound=0.0)
+        trace = simulate(bench_initial, bench_targets, cfg)
+        assert trace.terminal_status == "max-time" and len(trace) == 1001
+
     @pytest.mark.parametrize("three_agent", [True, False], ids=["three-agent", "generic"])
     def test_rejects_3d(self, bench_targets, three_agent):
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.1], [0.1, 1.0, 0.3]])

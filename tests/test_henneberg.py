@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -40,6 +43,7 @@ from weakrig.henneberg import (
     SMALL_ANGLE,
     TOO_CLOSE,
     _box,
+    _cosine,
     _propose,
     _rejection,
 )
@@ -277,6 +281,7 @@ class TestTrustedZeroExtensions:
 
     @pytest.mark.parametrize("mix", [1.0, 0.0])
     def test_rank_tests_only_the_seed_and_one_extensions(self, triangle_k3, monkeypatch, mix):
+        henneberg._seed_is_minimal.cache_clear()  # an equal seed grown before is not re-tested
         calls = counted_minimality_checks(monkeypatch)
         result = grow_random(triangle_k3, steps=20, rng_seed=8, mix=mix)
         ones = sum(s.kind == "1-extension" for s in result.steps)
@@ -285,6 +290,23 @@ class TestTrustedZeroExtensions:
         assert len(calls) == 1 + ones + result.not_minimal
         assert calls[0] is triangle_k3
         assert all(f.n > 3 for f in calls[1:])
+
+    def test_each_distinct_seed_is_rank_tested_once(self, monkeypatch):
+        henneberg._seed_is_minimal.cache_clear()
+        calls = counted_minimality_checks(monkeypatch)
+        k3 = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
+        seeds = [Framework(k3, 2, TRIANGLE_POS.copy()) for _ in range(3)]
+        for rng_seed, seed in enumerate(seeds):  # 0-extensions only: no rank test per step
+            assert grow_random(seed, steps=4, rng_seed=rng_seed, mix=1.0).final.n == 7
+        assert len(calls) == 1 and calls[0] is seeds[0]
+        moved = seeds[0].with_positions(TRIANGLE_POS + 0.5)
+        grow_random(moved, steps=4, rng_seed=0, mix=1.0)
+        assert len(calls) == 2 and calls[1] is moved
+        not_minimal = Framework(build_graph(3, edges=[(0, 1), (1, 2)]), 2, TRIANGLE_POS)
+        for _ in range(3):
+            with pytest.raises(SeedNotRigid):
+                grow_random(not_minimal, steps=1, rng_seed=1)
+        assert len(calls) == 3 and calls[2] is not_minimal
 
     # The triangle fixture is immutable, so sharing it across examples is safe.
     @settings(max_examples=60, deadline=None,
@@ -316,10 +338,11 @@ class TestTrustedZeroExtensions:
         assert oracle
 
 
-def uncached_rejection(candidate: Framework, step: ExtensionStep) -> str | None:
+def uncached_rejection(candidate: Framework, step: ExtensionStep,
+                       minimal=full_svd_minimality) -> str | None:
     """``_rejection`` on the whole candidate: the parent's diameter measured from it,
-    the new angles compiled per call and evaluated at every vertex, and the
-    minimality test from one full SVD.  Kept as an oracle."""
+    the new angles compiled per call and evaluated at every vertex by the
+    kernel, and the minimality test from one full SVD.  Kept as an oracle."""
     parent, new = candidate.positions[:-1], candidate.positions[-1]
     diameter = float(np.linalg.norm(parent.max(axis=0) - parent.min(axis=0)))
     if np.linalg.norm(parent - new, axis=1).min() < MIN_SEPARATION_FRACTION * diameter:
@@ -328,9 +351,20 @@ def uncached_rejection(candidate: Framework, step: ExtensionStep) -> str | None:
     rows = compile_graph.__wrapped__(Graph(candidate.n, angles=added))
     if np.abs(constraint_kernel(candidate.positions, rows)[0]).max() >= MAX_ABS_COSINE:
         return SMALL_ANGLE
-    if step.kind == "1-extension" and not full_svd_minimality(candidate):
+    if step.kind == "1-extension" and not minimal(candidate):
         return NOT_MINIMAL
     return None
+
+
+def in_unit(f: Framework, scale: float, offset) -> Framework:
+    """``f`` scaled about the origin, then moved by ``offset``."""
+    return f.with_positions(f.positions * scale + np.asarray(offset))
+
+
+def step_in_unit(step: ExtensionStep, scale: float, offset) -> ExtensionStep:
+    """``step`` with its new position scaled and moved as :func:`in_unit` moves its parent."""
+    x, y = step.new_position
+    return dataclasses.replace(step, new_position=(x * scale + offset[0], y * scale + offset[1]))
 
 
 # seeds 0..19 x mix {0, 0.5, 1} x n {8, 12} from the triangle: logs, final
@@ -348,12 +382,18 @@ class TestStepLocalRejection:
         steps=st.integers(0, 8),
         mix=st.floats(0.0, 1.0),
         proposal_seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 6.0),
+        offset=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
     )
     def test_same_cause_as_the_whole_candidate(self, seed_kind, growth_seed, steps, mix,
-                                               proposal_seed):
+                                               proposal_seed, log_scale, offset):
+        # Any unit: the parent grown at unit scale, then scaled by 10**log_scale
+        # and moved by up to 1e6 of that unit, so the differences lose bits.
         seed = (Framework(build_graph(3, edges=[(0, 1), (0, 2), (1, 2)]), 2, TRIANGLE_POS)
                 if seed_kind == "triangle" else seven_edge_seed())
-        parent = grow_random(seed, steps=steps, rng_seed=growth_seed, mix=mix).final
+        scale = 10.0 ** log_scale
+        parent = in_unit(grow_random(seed, steps=steps, rng_seed=growth_seed, mix=mix).final,
+                         scale, np.asarray(offset) * scale)
         box = _box(parent.positions)
         rng = np.random.default_rng(proposal_seed)
         for _ in range(15):
@@ -363,6 +403,51 @@ class TestStepLocalRejection:
             except (CollinearPlacement, CollocatedPoints, DuplicateConstraint):
                 continue
             assert _rejection(candidate, step, box[2]) == uncached_rejection(candidate, step)
+
+    def test_scalar_cosine_has_the_kernel_bits(self):
+        # Random triples at any unit, past the float range too (NaN stands for NaN), and
+        # right angles on the axes, whose products are signed zeros: the kernel's sum
+        # starts at +0.0.  The kernel clamps; _cosine does not, so the test clamps it.
+        one_angle = compile_graph(Graph(3, angles=((0, 1, 2),)))
+        rng = np.random.default_rng(29)
+        cases = [rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(-6, 6)
+                 + rng.normal(size=2) * 10.0 ** rng.uniform(-6, 6) for _ in range(1500)]
+        cases += [rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(70, 300) for _ in range(500)]
+        for sx, sy in itertools.product((1.0, -1.0), repeat=2):
+            cases.append(np.array([[0.0, 0.0], [2.0 * sx, 0.0], [0.0, 3.0 * sy]]))
+            cases.append(np.array([[1.0, -1.0], [1.0, -1.0 + sy], [1.0 + sx, -1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in cases:
+                kernel = constraint_kernel(p, one_angle)[0]
+                c = np.minimum(np.maximum(_cosine(*p.tolist()), -1.0), 1.0)
+                assert c.tobytes() == kernel.tobytes() or (np.isnan(c) and np.isnan(kernel[0]))
+
+    def test_products_past_the_float_range_decide_as_the_kernel(self, triangle_k3, monkeypatch):
+        # Past ~1e77 the kernel's products overflow: a cosine is 0 or NaN there, and
+        # numpy's max propagates a NaN where Python's does not.  The float bounds must
+        # decide as the kernel does all the same.  The rank test is stubbed on both
+        # sides, as its SVD takes no such input.
+        parents = [grow_random(seed, steps=steps, rng_seed=steps, mix=0.5).final
+                   for seed in (triangle_k3, seven_edge_seed()) for steps in (0, 3, 6)]
+        monkeypatch.setattr(henneberg, "is_minimally_weakly_rigid", lambda f: True)
+        rng = np.random.default_rng(77)
+        causes, nan_cosines = collections.Counter(), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(600):
+                parent = parents[rng.integers(len(parents))]
+                scale = 10.0 ** rng.uniform(60, 300)
+                offset = rng.uniform(-1.0, 1.0, 2) * scale * 10.0 ** rng.uniform(0, 3)
+                step = step_in_unit(_propose(parent, rng, 0.5, _box(parent.positions)),
+                                    scale, offset)
+                try:
+                    candidate = apply_extension(in_unit(parent, scale, offset), step)
+                except (CollinearPlacement, CollocatedPoints, DuplicateConstraint):
+                    continue
+                cause = uncached_rejection(candidate, step, minimal=lambda f: True)
+                assert _rejection(candidate, step, _box(candidate.positions[:-1])[2]) == cause
+                causes[cause] += 1
+                nan_cosines += cause is None and np.isnan(weak_rigidity_function(candidate)).any()
+        assert causes[TOO_CLOSE] and causes[SMALL_ANGLE] and causes[None] and nan_cosines
 
     def test_growth_sweep_is_unchanged(self, triangle_k3):
         digest = hashlib.sha1()
@@ -410,3 +495,20 @@ class TestProposalInFloats:
         expected = lo - 0.5 * d + r * (hi - lo + d)
         assert all(type(c) is float for c in step.new_position)
         assert np.array(step.new_position).tobytes() == expected.tobytes()
+
+    def test_anchor_pair_is_rng_choice(self):
+        # The pair and the generator's state after it are rng.choice's, so a numpy
+        # change to either draw fails here rather than in a golden digest.  Edgeless
+        # parents: every proposal is a 0-extension.
+        parents = [Framework(Graph(nu), 2, np.column_stack([np.arange(nu), np.zeros(nu)]))
+                   for nu in range(3, 201)]
+        for rng_seed in range(40):
+            drawn, reference = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+            for parent in parents:
+                step = _propose(parent, drawn, 0.5, ((0.0, 0.0), (1.0, 1.0), 1.0))
+                reference.random()  # the kind
+                reference.random(2)  # the position
+                expected = reference.choice(parent.n, size=2, replace=False).tolist()
+                assert step.anchors == tuple(expected)
+                assert all(type(v) is int for v in step.anchors)
+                assert drawn.random(3).tolist() == reference.random(3).tolist()
