@@ -155,9 +155,9 @@ def collocated(positions: np.ndarray) -> bool:
     return min_separation(positions) < collocation_tolerance(positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Framework:
-    """A graph together with a configuration in dimension 2 or 3."""
+    """A graph together with a configuration in dimension 2 or 3, equal by value (``__eq__``)."""
 
     graph: Graph
     dim: int
@@ -178,6 +178,15 @@ class Framework:
             raise CollocatedPoints("two vertex positions coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+
+    def __eq__(self, other):  # graph, dim and position bytes, as __hash__
+        if not isinstance(other, Framework):
+            return NotImplemented
+        return ((self.graph, self.dim, self.positions.tobytes())
+                == (other.graph, other.dim, other.positions.tobytes()))
+
+    def __hash__(self):
+        return hash((self.graph, self.dim, self.positions.tobytes()))
 
     @property
     def n(self) -> int:

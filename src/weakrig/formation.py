@@ -121,12 +121,11 @@ def _target_values(f: Framework, t: TargetSpec) -> np.ndarray:
     return t.values()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorVector:
     """Constraint errors, distance entries first then cosine entries."""
 
     values: np.ndarray = field(repr=False)
-    m: int
 
     def norm(self) -> float:
         return vector_norm(self.values)
@@ -135,7 +134,7 @@ class ErrorVector:
 def error_vector(f: Framework, t: TargetSpec) -> ErrorVector:
     """Current constraint values minus targets, in rigidity-matrix row order."""
     tv = _target_values(f, t)
-    return ErrorVector(values=weak_rigidity_function(f) - tv, m=f.graph.m)
+    return ErrorVector(values=weak_rigidity_function(f) - tv)
 
 
 def _compile_for_flow(f: Framework) -> CompiledGraph:
@@ -298,7 +297,7 @@ class SimulationConfig:
             raise ValueError("divergence_bound must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Dense record of a gradient-flow run, one sample per accepted step.
 
@@ -327,8 +326,8 @@ class SimulationTrace:
 def _rhs_canonical(x, d1s, d2s, cs, a=0.0, k=None):
     """Scalar flow for the canonical topology: ``(-R_W^T e, e)`` at the stacked state ``x + a*k``.
 
-    At ``x`` when ``k`` is None.  Python floats in and out (six coordinates);
-    at n = 3 it is about ten times cheaper than :func:`constraint_kernel`.
+    At ``x`` when ``k`` is None.  Steps ``-(E(p) (x) I_2) p`` with :func:`_edge_weights`'s weights
+    inline, in Python floats (six coordinates): at n = 3 about ten times cheaper than the kernel.
     """
     x0, y0, x1, y1, x2, y2 = x
     if k is not None:  # the RK4 stage point
@@ -346,21 +345,12 @@ def _rhs_canonical(x, d1s, d2s, cs, a=0.0, k=None):
     inv = 1.0 / math.sqrt(n1 * n2)
     c = (ax * bx + ay * by) * inv
     ec = (1.0 if c > 1.0 else -1.0 if c < -1.0 else c) - cs
-    # cosine gradient rows for agents 1 and 2; apex row is minus their sum
-    bgx = -bx * inv + c * ax / n1
-    bgy = -by * inv + c * ay / n1
-    ggx = -ax * inv + c * bx / n2
-    ggy = -ay * inv + c * by / n2
-    dax, day = 2.0 * ax * e1, 2.0 * ay * e1  # distance-error velocity of agent 1
-    dbx, dby = 2.0 * bx * e2, 2.0 * by * e2  # and of agent 2
-    return [
-        -(dax + dbx) + (bgx + ggx) * ec,
-        -(day + dby) + (bgy + ggy) * ec,
-        dax - bgx * ec,
-        day - bgy * ec,
-        dbx - ggx * ec,
-        dby - ggy * ec,
-    ], (e1, e2, ec)
+    w1 = 2.0 * e1 - ec * c / n1
+    w2 = 2.0 * e2 - ec * c / n2
+    w3 = ec * inv
+    v1x, v1y = w1 * ax + w3 * bx, w1 * ay + w3 * by  # agent 1: w1 (p0 - p1) + w3 (p0 - p2)
+    v2x, v2y = w2 * bx + w3 * ax, w2 * by + w3 * ay  # agent 2; agent 0 moves by minus their sum
+    return [-(v1x + v2x), -(v1y + v2y), v1x, v1y, v2x, v2y], (e1, e2, ec)
 
 
 def _collocated_three(x, big: float) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,9 @@ DEFAULT_MIX = 0.5  # probability of a 0-extension per growth step
 MAX_ABS_COSINE = math.cos(math.radians(MIN_ANGLE_DEG))
 MIN_SEPARATION_FRACTION = 0.1
 MAX_PLACEMENT_ATTEMPTS = 1000
+# Growth places from a parent of diameter below this, ~4.8e76: a ray in its region is at most
+# (1 + sqrt 2) diameters long, so the placement bounds' |a|^2 |b|^2 stays below the float maximum.
+MAX_GROWTH_DIAMETER = math.sqrt(math.sqrt(np.finfo(float).max)) / (1.0 + math.sqrt(2.0))
 
 KIND_0_EXTENSION = "0-extension"
 KIND_1_EXTENSION = "1-extension"
@@ -184,6 +187,16 @@ def _box(positions: np.ndarray) -> tuple[tuple[float, float], tuple[float, float
     return (x0 - half, y0 - half), (x1 - x0 + diameter, y1 - y0 + diameter), diameter
 
 
+def _placement_box(positions: np.ndarray):
+    """:func:`_box`, or ValueError past MAX_GROWTH_DIAMETER, where a cosine can read 0 unseen."""
+    with np.errstate(over="ignore"):  # a diameter past the float range reads inf
+        box = _box(positions)
+    if not box[2] < MAX_GROWTH_DIAMETER:
+        raise ValueError(f"growth's placement bounds overflow at diameter {box[2]:.6g}: "
+                         f"it must be below {MAX_GROWTH_DIAMETER:.2g}")
+    return box
+
+
 def _propose(f: Framework, rng: np.random.Generator, mix: float, box) -> ExtensionStep:
     """Draw a random extension of ``f``; the draw order fixes every seed's output.
 
@@ -257,19 +270,10 @@ def _rejection(candidate: Framework, step: ExtensionStep, diameter: float) -> st
     return None
 
 
-@dataclass(frozen=True)
-class _Seed:
-    """A 2D growth seed keyed by value, by graph and position bytes; the framework rides along."""
-
-    graph: Graph
-    positions: bytes
-    framework: Framework = field(compare=False)
-
-
 @functools.lru_cache(maxsize=64)
-def _seed_is_minimal(seed: _Seed) -> bool:
-    """:func:`is_minimally_weakly_rigid` of a seed; equal seeds share one verdict."""
-    return bool(is_minimally_weakly_rigid(seed.framework))
+def _seed_is_minimal(seed: Framework) -> bool:
+    """:func:`is_minimally_weakly_rigid` of a seed; equal seeds (by value) share one verdict."""
+    return bool(is_minimally_weakly_rigid(seed))
 
 
 def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
@@ -282,22 +286,20 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
     framework with exactly one edge is never minimal: its angle rows alone
     must already reach rank 2n-4, so the surviving edge is removable.
     Splitting the last edge breaks the count balance outright.)  Each
-    attempt builds a proposed step and keeps it if it passes the
-    placement bounds of :func:`_rejection`.  A 0-extension that does is
-    minimal by the extension theorem; a 1-extension must also pass the
-    single-removal minimality test.  The parent's :func:`_box` is measured
-    once per step, for every proposal and its rejection test; an attempt
-    otherwise pays only for what it adds.  A proposal that cannot be built
-    (collinear or collocated, or re-adding an angle the graph has) is
-    rejected too.  A step that fails 1000 attempts raises
-    PlacementExhausted; a seed that is not 2D, ValueError; one that is not
-    minimal, SeedNotRigid.  Each distinct seed (graph and position bits)
-    is rank-tested once per process.  Deterministic for a fixed ``rng_seed``.
+    attempt builds a proposed step and keeps it unless it cannot be built
+    (collinear or collocated, or re-adding an angle the graph has) or
+    :func:`_rejection` names a cause.  The parent's :func:`_placement_box`
+    is measured once per step, for every proposal and its rejection test;
+    an attempt otherwise pays only for what it adds.  A step that fails
+    1000 attempts raises PlacementExhausted; a seed that is not 2D, or a
+    parent too large for the placement bounds, ValueError; a seed that is
+    not minimal, SeedNotRigid, tested once per process for equal seeds.
+    Deterministic for a fixed ``rng_seed``.
     """
     if seed_framework.dim != 2:
         raise ValueError("growth is defined for dim 2")
-    seed = _Seed(seed_framework.graph, seed_framework.positions.tobytes(), seed_framework)
-    if not _seed_is_minimal(seed):
+    box = _placement_box(seed_framework.positions)  # first: past ~1e154 the rank test overflows
+    if not _seed_is_minimal(seed_framework):
         raise SeedNotRigid("growth seed must be minimally (weakly) rigid")
     rng = np.random.default_rng(rng_seed)
     frameworks = [seed_framework]
@@ -306,7 +308,8 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
     rejected = dict.fromkeys((UNBUILDABLE, TOO_CLOSE, SMALL_ANGLE, NOT_MINIMAL), 0)
     for _ in range(steps):
         f = frameworks[-1]
-        box = _box(f.positions)
+        if f is not seed_framework:  # the seed's box is measured
+            box = _placement_box(f.positions)
         for attempt in range(1, MAX_PLACEMENT_ATTEMPTS + 1):
             step = _propose(f, rng, mix, box)
             try:

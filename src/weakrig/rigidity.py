@@ -172,7 +172,7 @@ def _row_label(g: Graph, row: int) -> RowLabel:
     return ("distance", g.edges[row]) if row < g.m else ("cosine", g.angles[row - g.m])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakRigidityMatrix:
     """Jacobian of the weak rigidity function and the graph that labels its rows."""
 

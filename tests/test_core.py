@@ -19,9 +19,15 @@ from weakrig import (
     Graph,
     IndexOutOfRange,
     SelfLoop,
+    SimulationConfig,
     TargetSpec,
     build_graph,
+    canonical_targets,
+    canonical_three_agent_graph,
+    error_vector,
+    grow_random,
     induced_distance_closure,
+    simulate,
     weak_rigidity_function,
     weak_rigidity_matrix,
     weakly_rigid_0_extension,
@@ -29,8 +35,9 @@ from weakrig import (
 from weakrig.core import (COLLOCATION_REL_TOL, angle_key, collocation_tolerance,
                           collocation_tolerance_at, coordinate_dot, edge_key, min_separation,
                           vector_norm)
+from weakrig.rigidity import compile_graph
 
-from conftest import TRIANGLE_POS, random_framework, random_positions
+from conftest import BENCH_TARGETS, TRIANGLE_POS, random_framework, random_positions
 
 
 class TestBuildGraph:
@@ -222,6 +229,30 @@ class TestFramework:
             k3.with_positions(moved)
         with pytest.raises(ValueError, match="^positions must be finite$"):
             weakly_rigid_0_extension(k3, 1, 2, (bad, 0.0))
+
+
+class TestEquality:
+    """``==`` answers on every record that holds an array, never numpy's "ambiguous" error."""
+
+    def test_framework_compares_and_hashes_by_value(self):
+        k3 = build_graph(3, edges=[(0, 1), (0, 2), (1, 2)])
+        a, b = Framework(k3, 2, TRIANGLE_POS), Framework(k3, 2, TRIANGLE_POS.copy())
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.with_positions(TRIANGLE_POS + 0.5)
+        assert a != Framework(build_graph(3, edges=[(0, 1), (1, 2), (0, 2)]), 2, TRIANGLE_POS)
+        assert a != Framework(k3, 3, np.column_stack([TRIANGLE_POS, np.zeros(3)]))
+        assert a != TRIANGLE_POS.tolist()
+        # A growth result holds frameworks, so two equal growths compare equal.
+        assert grow_random(a, steps=5, rng_seed=2) == grow_random(b, steps=5, rng_seed=2)
+
+    def test_array_records_compare_by_identity(self):
+        f = Framework(canonical_three_agent_graph(), 2, TRIANGLE_POS)
+        t = canonical_targets(*BENCH_TARGETS)
+        cfg = SimulationConfig(t_max=0.01)
+        for make in (lambda: error_vector(f, t), lambda: weak_rigidity_matrix(f),
+                     lambda: compile_graph.__wrapped__(f.graph), lambda: simulate(f, t, cfg)):
+            one, other = make(), make()
+            assert one == one and one != other
 
 
 class TestMinSeparation:

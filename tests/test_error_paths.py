@@ -63,6 +63,14 @@ def swapped_cosines() -> None:
     error_vector(two_angles(), t)
 
 
+def grow_scaled_k3(scale: float, steps: int = 12, rng_seed: int = 0):
+    """Grow ``k3()`` scaled by ``scale``.  Building a seed past ~1e154 overflows numpy's
+    squared distances in :class:`Framework`'s own check, so that warning is silenced."""
+    with np.errstate(over="ignore"):
+        seed = Framework(k3().graph, 2, TRIANGLE_POS * scale)
+    return grow_random(seed, steps=steps, rng_seed=rng_seed)
+
+
 def k3_step(kind: str, new_vertex: int = 3) -> ExtensionStep:
     return ExtensionStep(kind=kind, new_vertex=new_vertex, anchors=(0, 1), new_position=(0.5, 2.0))
 
@@ -94,6 +102,14 @@ RAISES = {
     "extension-dim": (lambda: weakly_rigid_0_extension(k4_3d(), 0, 1, (0.5, 2.0)), ValueError,
                       "an extension is defined for dim 2"),
     "growth-dim": (lambda: grow_random(k4_3d(), 1, 0), ValueError, "growth is defined for dim 2"),
+    # Past a diameter of ~4.8e76 the placement bounds' |a|^2 |b|^2 can overflow, and a
+    # cosine that reads 0 passes the 5 degree bound; past ~1e154 the diameter reads inf.
+    "growth-diameter": (lambda: grow_scaled_k3(1e80), ValueError,
+                        "growth's placement bounds overflow at diameter 2.64572e+80: "
+                        "it must be below 4.8e+76"),
+    "growth-diameter-inf": (lambda: grow_scaled_k3(1e160), ValueError,
+                            "growth's placement bounds overflow at diameter inf: "
+                            "it must be below 4.8e+76"),
     "extension-kind": (lambda: apply_extension(k3(), k3_step("2-extension")), ValueError,
                        "unknown extension kind '2-extension'"),
     "step-anchor-count": (lambda: apply_extension(k3(), k3_step("1-extension")), BadAnchor,
@@ -134,6 +150,14 @@ def test_placement_exhausted(monkeypatch):
     with pytest.raises(PlacementExhausted) as exc:
         grow_random(k3(), steps=1, rng_seed=0)
     assert str(exc.value) == "no acceptable extension after 3 attempts at n=3"
+
+
+def test_growth_at_1e76_grows_while_its_diameter_is_below_the_limit():
+    # The seed's diameter is 2.6e76 and steps widen it; the bounds still reject small angles.
+    result = grow_scaled_k3(1e76, steps=3, rng_seed=3)
+    assert result.final.n == 6 and result.small_angle == 2
+    with pytest.raises(ValueError, match=r"at diameter 5\.37346e\+76: "):
+        grow_scaled_k3(1e76, steps=4, rng_seed=3)  # the fourth step's parent is past the limit
 
 
 def test_temporary_name_collision_draws_again(tmp_path, monkeypatch):

@@ -41,6 +41,42 @@ from conftest import (
 )
 
 
+def gradient_rows_rhs_canonical(x, d1s, d2s, cs, a=0.0, k=None):
+    """The scalar three-agent flow as it was before it stepped E(p)'s edge weights: the distance
+    and cosine gradient rows written out per agent.  Kept as an oracle for ``_rhs_canonical``."""
+    x0, y0, x1, y1, x2, y2 = x
+    if k is not None:  # the RK4 stage point
+        u0, v0, u1, v1, u2, v2 = k
+        x0, y0, x1, y1 = x0 + a * u0, y0 + a * v0, x1 + a * u1, y1 + a * v1
+        x2, y2 = x2 + a * u2, y2 + a * v2
+    ax = x0 - x1
+    ay = y0 - y1
+    bx = x0 - x2
+    by = y0 - y2
+    n1 = ax * ax + ay * ay
+    n2 = bx * bx + by * by
+    e1 = n1 - d1s
+    e2 = n2 - d2s
+    inv = 1.0 / math.sqrt(n1 * n2)
+    c = (ax * bx + ay * by) * inv
+    ec = (1.0 if c > 1.0 else -1.0 if c < -1.0 else c) - cs
+    # cosine gradient rows for agents 1 and 2; apex row is minus their sum
+    bgx = -bx * inv + c * ax / n1
+    bgy = -by * inv + c * ay / n1
+    ggx = -ax * inv + c * bx / n2
+    ggy = -ay * inv + c * by / n2
+    dax, day = 2.0 * ax * e1, 2.0 * ay * e1  # distance-error velocity of agent 1
+    dbx, dby = 2.0 * bx * e2, 2.0 * by * e2  # and of agent 2
+    return [
+        -(dax + dbx) + (bgx + ggx) * ec,
+        -(day + dby) + (bgy + ggy) * ec,
+        dax - bgx * ec,
+        day - bgy * ec,
+        dbx - ggx * ec,
+        dby - ggy * ec,
+    ], (e1, e2, ec)
+
+
 class TestTargetSpec:
     def test_negative_squared_distance_rejected(self):
         with pytest.raises(ValueError, match=r"for \(0, 1\) must be >= 0, got -1.0$"):
@@ -323,15 +359,21 @@ class TestSimulate:
         assert np.all(np.diff(trace.lyapunov) <= 1e-10)
 
     def test_generic_and_canonical_paths_agree(self):
+        # The scalar flow steps E(p)'s weights, the kernel the cosine's gradient rows, so
+        # their velocities round apart: at most 4 ulps of max|u|, against both.
         rng = np.random.default_rng(137)
-        for _ in range(50):
+        for _ in range(2000):
             f = random_three_agent_state(rng)
             t = random_targets(rng)
+            x, targets = f.config(), (*(v for _, v in t.sq_distances), t.cosines[0][1])
             u_lib = control_law(f, t)
-            u_fast, _ = _rhs_canonical(f.config(), *(v for _, v in t.sq_distances),
-                                       t.cosines[0][1])
+            u_fast, e_fast = _rhs_canonical(x, *targets)
+            u_rows, e_rows = gradient_rows_rhs_canonical(x, *targets)
             u_gen, errs = _rhs_generic(f.positions, compile_graph(f.graph), t.values())
-            assert np.max(np.abs(u_lib - np.array(u_fast))) < 1e-13
+            ulp = np.spacing(np.max(np.abs(u_lib)))
+            assert np.max(np.abs(u_lib - np.array(u_fast))) <= 4.0 * ulp
+            assert np.max(np.abs(np.array(u_rows) - np.array(u_fast))) <= 4.0 * ulp
+            assert e_fast == e_rows
             assert np.max(np.abs(u_lib - u_gen.ravel())) < 1e-13
             assert np.max(np.abs(errs - error_vector(f, t).values)) < 1e-14
 

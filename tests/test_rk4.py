@@ -2,7 +2,9 @@
 
 ``loop_simulate_canonical`` is the scalar three-agent integrator that
 ``simulate`` used before the canonical and generic flows shared one loop,
-``array_rk4`` that shared loop as it was when every state was a numpy
+its right-hand side ``loop_rhs_canonical`` written in the form the flow now
+steps: E(p)'s three edge weights, not the cosine's gradient rows.
+``array_rk4`` is that shared loop as it was when every state was a numpy
 array, and ``field_trace_to_csv`` the per-field trace writer; all are kept
 here as oracles only.  The loop must reproduce them bit for bit.
 """
@@ -53,18 +55,12 @@ def loop_rhs_canonical(x, d1s, d2s, cs):
     inv = 1.0 / math.sqrt(n1 * n2)
     c = (ax * bx + ay * by) * inv
     ec = (1.0 if c > 1.0 else -1.0 if c < -1.0 else c) - cs
-    bgx = -bx * inv + c * ax / n1
-    bgy = -by * inv + c * ay / n1
-    ggx = -ax * inv + c * bx / n2
-    ggy = -ay * inv + c * by / n2
-    u = (
-        -(2.0 * ax * e1 + 2.0 * bx * e2) + (bgx + ggx) * ec,
-        -(2.0 * ay * e1 + 2.0 * by * e2) + (bgy + ggy) * ec,
-        2.0 * ax * e1 - bgx * ec,
-        2.0 * ay * e1 - bgy * ec,
-        2.0 * bx * e2 - ggx * ec,
-        2.0 * by * e2 - ggy * ec,
-    )
+    w1 = 2.0 * e1 - ec * c / n1  # E(p)'s edge weights
+    w2 = 2.0 * e2 - ec * c / n2
+    w3 = ec * inv
+    u1 = (w1 * ax + w3 * bx, w1 * ay + w3 * by)
+    u2 = (w2 * bx + w3 * ax, w2 * by + w3 * ay)
+    u = (-(u1[0] + u2[0]), -(u1[1] + u2[1]), *u1, *u2)
     return u, e1, e2, ec, ax * by - ay * bx
 
 
