@@ -213,8 +213,11 @@ def cmd_check_gradient(args) -> int:
     # a normalized copy.  Rounding in the distance rows grows like
     # (length / unit)^2 and truncation in the cosine rows like (unit / ray)^3,
     # so the unit is the geometric mean of the spread and the closest pair.
+    # A power of two first brings max|p| under 1, exactly, so the squares
+    # below stay finite past 1e154 and every later step scales exactly.
     p = f.positions - f.positions.mean(axis=0)
     if f.n > 1:
+        p = np.ldexp(p, -math.frexp(float(np.abs(p).max()))[1])
         radius = math.sqrt(float(np.mean(coordinate_dot(p, p))))
         p = p / math.sqrt(radius * min_separation(p))
     f = f.with_positions(p)

@@ -507,15 +507,12 @@ def simulate(f0: Framework, t: TargetSpec, cfg: SimulationConfig | None = None) 
             return _rhs_canonical(x, d1s, d2s, cs, a, k)
     else:
         p0, degenerate = f0.positions, _collocation_gate(f0.positions)
-        # _rk4's coefficients as 0-d arrays: numpy converts a Python float on every use
-        scalars = {v: np.array(v) for v in (0.0, 0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0, 2.0)}
-        two = scalars[2.0]
 
         def stage(x, a, k):
-            return _rhs_generic(x, cg, tv, scalars[a], k)
+            return _rhs_generic(x, cg, tv, a, k)
 
         def combine(x, s, k1, k2, k3, k4):  # a new array; the gate holds on to old ones
-            return x + scalars[s] * (k1 + two * k2 + two * k3 + k4)
+            return x + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a step out of the float range ends the run
         times, states, errs, norms, velocity, status = _rk4(p0, stage, combine, degenerate, cfg)

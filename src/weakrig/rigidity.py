@@ -267,41 +267,24 @@ def rigid_motions(positions: np.ndarray) -> np.ndarray:
     return motions.reshape(n * d, -1)
 
 
-def _trivial_motion_count(f: Framework) -> int:
-    """How many trivial motions a framework has: ``d(d+1)/2``, one more with no edges.
-
-    Raises DegenerateConfiguration if all vertices are collinear (one or
-    two always are): the centred ``n x d`` positions rank below 2.  Else
-    the motions of :func:`trivial_motion_basis` are independent, so their
-    count is this number.  Scaling ``c``, skew ``Omega`` and translation
-    ``t``, with ``(c, Omega) != 0``, that vanish give
-    ``(c I + Omega) p_i = -t``.  If ``c != 0`` or ``d = 2`` that matrix is
-    invertible, so all points would be equal; else ``Omega p_i`` is
-    constant, so they would lie on one line.
-    """
-    p = f.positions
-    if numerical_rank(p - p.sum(axis=0) / len(p)) < 2:  # the bits of p.mean(axis=0)
-        raise DegenerateConfiguration("all vertices are collinear")
-    d = f.dim
-    return d * (d + 1) // 2 + (not f.graph.m)
-
-
-def _motion_columns(f: Framework) -> np.ndarray:
-    """:func:`rigid_motions`, plus the configuration itself (uniform scaling) with no edges."""
-    basis = rigid_motions(f.positions)
-    return basis if f.graph.m else np.column_stack([basis, f.config()])
-
-
 def trivial_motion_basis(f: Framework) -> np.ndarray:
     """Columns spanning the trivial infinitesimal motions of a framework.
 
     The rigid motions of :func:`rigid_motions`; plus the configuration
     itself (uniform scaling) when the framework has no distance edges.
-    Raises DegenerateConfiguration if all vertices are collinear; else the
-    columns are independent (see :func:`_trivial_motion_count`).
+    Raises DegenerateConfiguration if all vertices are collinear (one or
+    two always are): the centred ``n x d`` positions rank below 2.  Else
+    the columns are independent, ``d(d+1)/2`` of them, one more with no
+    edges.  Scaling ``c``, skew ``Omega`` and translation ``t``, with
+    ``(c, Omega) != 0``, that vanish give ``(c I + Omega) p_i = -t``.  If
+    ``c != 0`` or ``d = 2`` that matrix is invertible, so all points would
+    be equal; else ``Omega p_i`` is constant, so they would lie on one line.
     """
-    _trivial_motion_count(f)
-    return _motion_columns(f)
+    p = f.positions
+    if numerical_rank(p - p.sum(axis=0) / len(p)) < 2:  # the bits of p.mean(axis=0)
+        raise DegenerateConfiguration("all vertices are collinear")
+    basis = rigid_motions(p)
+    return basis if f.graph.m else np.column_stack([basis, f.config()])
 
 
 @dataclass(frozen=True)
@@ -318,19 +301,20 @@ class RigidityReport:
         return dict(vars(self))
 
 
-def _checked_weak_rigidity_matrix(f: Framework) -> tuple[WeakRigidityMatrix, int]:
-    """``R_W`` and the required rank of a framework the rank test applies to.
+def _rank_test(f: Framework, rel_tol: float) -> tuple[WeakRigidityMatrix, int, int, np.ndarray]:
+    """``R_W``, its rank, the required rank and the trivial motions: both rank tests read these.
 
-    The required rank is ``R_W``'s column count less the trivial motions:
-    ``d n - d(d+1)/2``, one less with no edges.  The motions are counted,
-    not built: only the classifier's residual needs them.
+    The required rank is ``R_W``'s column count less the basis's:
+    ``d n - d(d+1)/2``, one less with no edges.  One SVD of the ``n x d``
+    positions, one of ``R_W``.
     """
     if f.graph.n < 3:
         raise ValueError("rigidity classification needs n >= 3")
     if not f.graph.constraint_count:
         raise EmptyEdgeSet("framework has no constraints at all")
-    trivial = _trivial_motion_count(f)
-    return weak_rigidity_matrix(f), f.positions.size - trivial
+    basis = trivial_motion_basis(f)
+    R = weak_rigidity_matrix(f)
+    return R, numerical_rank(R.matrix, rel_tol), R.shape[1] - basis.shape[1], basis
 
 
 def classify_infinitesimal_weak_rigidity(
@@ -339,15 +323,12 @@ def classify_infinitesimal_weak_rigidity(
     """Rank test for infinitesimal weak rigidity, in 2D and 3D.
 
     Requires ``n >= 3``; no constraints at all raise EmptyEdgeSet, and
-    collinear vertices DegenerateConfiguration.  The trivial motions are
-    counted, not ranked: one SVD of the ``n x d`` positions, one of ``R_W``.
-    The report carries the largest entry of ``R_W`` times the unit-normed
-    trivial motions as a residual.
+    collinear vertices DegenerateConfiguration.  The report carries the
+    largest entry of ``R_W`` times the unit-normed trivial motions as a
+    residual.
     """
-    R, required = _checked_weak_rigidity_matrix(f)
-    rank = numerical_rank(R.matrix, rel_tol)
+    R, rank, required, basis = _rank_test(f, rel_tol)
     rigid = rank == required
-    basis = _motion_columns(f)
     norms = np.sqrt(np.add.reduce(basis * basis, axis=0))  # np.linalg.norm(axis=0) of real input
     residual = float(np.abs(R.matrix @ (basis / norms)).max())
     return RigidityReport(
@@ -390,8 +371,7 @@ def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -
     constraint, angles before edges, is the witness.  Raises the same
     errors as :func:`classify_infinitesimal_weak_rigidity`.
     """
-    R, required = _checked_weak_rigidity_matrix(f)
-    rank = numerical_rank(R.matrix, rel_tol)
+    R, rank, required, _ = _rank_test(f, rel_tol)
     g = f.graph
     if rank != required:
         return MinimalityResult(minimal=False, reason="not rigid")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from weakrig import Framework, MinimalityResult, TargetSpec, build_graph, canonical_targets
-from weakrig.rigidity import _checked_weak_rigidity_matrix, _rank_cut
+from weakrig.rigidity import _rank_cut, _rank_test
 
 # Triangle used throughout the construction examples (near-equilateral, side ~2).
 TRIANGLE_POS = np.array([[-1.732, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -143,7 +143,7 @@ def full_svd_minimality(f: Framework, rel_tol: float = 1e-9) -> MinimalityResult
     replaced, kept as an oracle: it reads the left null space even at full
     row rank, where it is empty.
     """
-    R, required = _checked_weak_rigidity_matrix(f)
+    R, _, required, _ = _rank_test(f, rel_tol)
     U, s, _ = np.linalg.svd(R.matrix)
     rank = _rank_cut(s, rel_tol)
     g = f.graph

@@ -884,6 +884,13 @@ class TestCheckGradientUnits:
         assert main(["check-gradient", copy]) == 0
         assert float(capsys.readouterr().out.rsplit("=", 1)[1]) < 1e-8
 
+    def test_coordinates_of_1e160_pass(self, tmp_path):
+        # Squares of 1e160 overflow; Framework's own check still warns on them.
+        with np.errstate(over="ignore"):
+            path = str(tmp_path / "huge.json")
+            dump_framework(K3_SEED.with_positions(K3_SEED.positions * 1e160), path)
+            assert main(["check-gradient", path]) == 0
+
     @pytest.mark.parametrize("scale", [1.0, 1e5])
     def test_a_perturbed_row_fails(self, tmp_path, capsys, monkeypatch, scale):
         exact = cli.weak_rigidity_matrix

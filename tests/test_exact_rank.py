@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from weakrig import Framework, Graph, build_graph, grow_random, numerical_rank
+from weakrig import Framework, Graph, build_graph, grow_random
 from weakrig.cli import K3_SEED
-from weakrig.rigidity import _checked_weak_rigidity_matrix
+from weakrig.rigidity import DEFAULT_RANK_TOL, _rank_test
 
 from conftest import (
     RHOMBUS_VARIANTS,
@@ -45,8 +45,8 @@ CERTIFIED = {
 
 def ranks(f: Framework) -> tuple[int, int, int]:
     """The exact rank, the float rank and the required rank of ``f``."""
-    R, required = _checked_weak_rigidity_matrix(f)
-    return exact_rank(f), numerical_rank(R.matrix), required
+    _, rank, required, _ = _rank_test(f, DEFAULT_RANK_TOL)
+    return exact_rank(f), rank, required
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED))

@@ -222,8 +222,9 @@ class TestClassify2D:
     def test_collinear_configuration_rejected(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]])
         f = Framework(build_graph(3, edges=[(0, 1), (1, 2), (0, 2)]), 2, pos)
-        with pytest.raises(DegenerateConfiguration):
-            classify_infinitesimal_weak_rigidity(f)
+        for test in (classify_infinitesimal_weak_rigidity, is_minimally_weakly_rigid):
+            with pytest.raises(DegenerateConfiguration, match="collinear"):
+                test(f)
 
     def test_rank_invariant_under_rigid_motion(self):
         rng = np.random.default_rng(61)

@@ -35,7 +35,6 @@ ALLOWED = {
     "error_vector": "a paper object: the error vector e of the potential V = ||e||^2 / 2",
     "ErrorVector": "the value error_vector returns",
     "realize_canonical_targets": "a paper object: a realization of the three-agent targets",
-    "trivial_motion_basis": "a paper object: the trivial infinitesimal motions",
     "cosine_edge_partials": "acceptance gate 2 contracts the cosine's edge partials",
     "induced_distance_closure": "acceptance gate 9 builds its 3D frameworks with it",
     "matrix_to_csv": "the text write_matrix_csv writes, which the tracer wraps",
