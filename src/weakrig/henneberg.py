@@ -296,6 +296,10 @@ def grow_random(seed_framework: Framework, steps: int, rng_seed: int,
     not minimal, SeedNotRigid, tested once per process for equal seeds.
     Deterministic for a fixed ``rng_seed``.
     """
+    if steps < 0:
+        raise ValueError(f"growth steps must be >= 0, got {steps}")
+    if not 0.0 <= mix <= 1.0:  # nan too
+        raise ValueError(f"mix must be in [0, 1], got {mix}")
     if seed_framework.dim != 2:
         raise ValueError("growth is defined for dim 2")
     box = _placement_box(seed_framework.positions)  # first: past ~1e154 the rank test overflows

@@ -308,6 +308,8 @@ def _rank_test(f: Framework, rel_tol: float) -> tuple[WeakRigidityMatrix, int, i
     ``d n - d(d+1)/2``, one less with no edges.  One SVD of the ``n x d``
     positions, one of ``R_W``.
     """
+    if not 0.0 < rel_tol < 1.0:  # else noise counts as rank, or nothing does
+        raise ValueError(f"rank tolerance must be in (0, 1), got {rel_tol}")
     if f.graph.n < 3:
         raise ValueError("rigidity classification needs n >= 3")
     if not f.graph.constraint_count:
@@ -355,33 +357,27 @@ class MinimalityResult:
 
 
 def is_minimally_weakly_rigid(f: Framework, rel_tol: float = DEFAULT_RANK_TOL) -> MinimalityResult:
-    """Single-removal minimality test, decided from the singular values of ``R_W``.
+    """Single-removal minimality test: a count on :func:`_rank_test`'s rank.
 
     Minimal means the framework passes its rank condition and every
     framework obtained by dropping one constraint fails its own rank
     condition (which drops by one if the removal empties the edge set).
-    :func:`numerical_rank` ranks ``R_W``.  At full row rank no row can be
-    dropped without losing rank, so the answer follows at once.  Otherwise
-    a full SVD decides: a row can be dropped without losing rank iff it has
-    weight in the left null space ``U[:, rank:]`` of ``R_W``; the weight
-    counts when ``weight * s[rank-1]``, about the singular value the
-    reduced matrix keeps, clears the rank cut ``rel_tol * s[0]``.  A lone
-    edge is always removable: the angle rows annihilate scaling, so they
-    reach at most the edge-free requirement.  The first removable
-    constraint, angles before edges, is the witness.  Raises the same
-    errors as :func:`classify_infinitesimal_weak_rigidity`.
+    So a rigid framework is minimal iff its rows are independent and it
+    has not exactly one edge, which is always removable: the angle rows
+    annihilate scaling.  With a spare row, the witness is the first
+    constraint, angles before edges, whose row drops keeping the rank
+    (one less for a lone edge), else None.  Raises the same errors as
+    :func:`classify_infinitesimal_weak_rigidity`.
     """
     R, rank, required, _ = _rank_test(f, rel_tol)
     g = f.graph
     if rank != required:
         return MinimalityResult(minimal=False, reason="not rigid")
-    if rank < R.shape[0]:
-        U, s, _ = np.linalg.svd(R.matrix)
-        weight = np.linalg.norm(U[:, rank:], axis=1)
-        removable = weight * s[rank - 1] > rel_tol * s[0]
-        for row in [*range(g.m, g.m + g.q), *range(g.m)]:
-            if removable[row]:
-                return MinimalityResult(False, "removable constraint", _row_label(g, row))
+    if rank < R.shape[0]:  # a lone edge is row 0
+        witness = next((_row_label(g, row) for row in [*range(g.m, g.m + g.q), *range(g.m)]
+                        if numerical_rank(np.delete(R.matrix, row, 0), rel_tol)
+                        == rank - (g.m == 1 and row == 0)), None)
+        return MinimalityResult(False, "removable constraint", witness)
     if g.m == 1:
         return MinimalityResult(False, "removable constraint", _row_label(g, 0))
     return MinimalityResult(minimal=True, reason="rigid and no constraint removable")

@@ -136,12 +136,23 @@ def random_targets(rng):
     )
 
 
+def spare_edge_framework(tail_first: bool = False) -> Framework:
+    """K4 with all six edges, plus vertex 4 on edges ``(0, 4)`` and ``(1, 4)``, nearly in
+    line with 0 and 1: eight constraints at rank 7, the required rank, so one is spare.
+    The tail's two edges come last, or first with ``tail_first``."""
+    k4, tail = [(i, j) for i in range(4) for j in range(i + 1, 4)], [(0, 4), (1, 4)]
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 1.1], [1.3, 0.9], [2.0, 1e-8]])
+    return Framework(build_graph(5, edges=tail + k4 if tail_first else k4 + tail), 2, pos)
+
+
 def full_svd_minimality(f: Framework, rel_tol: float = 1e-9) -> MinimalityResult:
     """The single-removal minimality test ranked from one full SVD of ``R_W``.
 
     The implementation that ranking from the singular values alone
     replaced, kept as an oracle: it reads the left null space even at full
-    row rank, where it is empty.
+    row rank, where it is empty.  Its weight threshold can miss every row
+    of a framework with a spare one and fall through to minimal, as on
+    :func:`spare_edge_framework`.
     """
     R, _, required, _ = _rank_test(f, rel_tol)
     U, s, _ = np.linalg.svd(R.matrix)

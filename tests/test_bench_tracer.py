@@ -17,7 +17,7 @@ import pytest
 from weakrig import SimulationConfig, grow_random, simulate, weak_rigidity_matrix
 from weakrig.fileio import trace_to_csv
 
-from conftest import rhombus_framework
+from conftest import rhombus_framework, spare_edge_framework
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,3 +72,20 @@ def test_a_full_row_rank_minimality_check_runs_two_svds(tracing, triangle_k3):
     assert metrics["rigidity.is_minimally_weakly_rigid.calls"] == 1
     assert metrics["rigidity.numerical_rank.calls"] == 2
     assert metrics["rigidity.svd_per_minimality_check"] == 2.0
+
+
+def test_an_over_constrained_minimality_check_runs_one_svd_per_row_tried(tracing):
+    # The two of the rank test, then one per dropped row: (0, 4) and (1, 4) keep too
+    # little rank, and (0, 1), the third row tried, is the witness.
+    recorder = tracing.Recorder()
+    recorder.begin_pass()
+    try:
+        result = importlib.import_module("weakrig.rigidity").is_minimally_weakly_rigid(
+            spare_edge_framework(tail_first=True))
+    finally:
+        recorder.end_pass()
+    assert result.witness == ("distance", (0, 1))
+    metrics = recorder.per_pass_metrics(0)
+    assert metrics["rigidity.is_minimally_weakly_rigid.calls"] == 1
+    assert metrics["rigidity.numerical_rank.calls"] == 2 + 3
+    assert metrics["rigidity.svd_per_minimality_check"] == 5.0

@@ -23,8 +23,10 @@ from weakrig import (
     build_graph,
     canonical_targets,
     classify_equilibrium,
+    classify_infinitesimal_weak_rigidity,
     error_vector,
     grow_random,
+    is_minimally_weakly_rigid,
     numerical_rank,
     realize_canonical_targets,
     weakly_rigid_0_extension,
@@ -125,6 +127,23 @@ RAISES = {
                  CollocatedPoints, "cosine partials need nonzero apex-adjacent edges"),
     "empty-rank": (lambda: numerical_rank(np.zeros((0, 3))), ValueError,
                    "numerical rank of an empty matrix is undefined"),
+    # Out of (0, 1) a rank cut misleads: nan and 1.0 read rank 0 on K3, -1.0 reads rigid.
+    "rank-tol-nan": (lambda: classify_infinitesimal_weak_rigidity(k3(), float("nan")), ValueError,
+                     "rank tolerance must be in (0, 1), got nan"),
+    "rank-tol-negative": (lambda: is_minimally_weakly_rigid(k3(), -1.0), ValueError,
+                          "rank tolerance must be in (0, 1), got -1.0"),
+    "rank-tol-one": (lambda: classify_infinitesimal_weak_rigidity(k3(), 1.0), ValueError,
+                     "rank tolerance must be in (0, 1), got 1.0"),
+    "rank-tol-before-n": (lambda: is_minimally_weakly_rigid(
+        Framework(build_graph(2, edges=[(0, 1)]), 2, np.eye(2)), 0.0), ValueError,
+        "rank tolerance must be in (0, 1), got 0.0"),
+    # Unchecked, -4 steps would return the seed, mix nan pick 1-extensions and 2.0 act as 1.
+    "growth-negative-steps": (lambda: grow_random(k3(), -4, 0), ValueError,
+                              "growth steps must be >= 0, got -4"),
+    "growth-mix-nan": (lambda: grow_random(k3(), 3, 0, mix=float("nan")), ValueError,
+                       "mix must be in [0, 1], got nan"),
+    "growth-mix-above-one": (lambda: grow_random(k3(), 3, 0, mix=2.0), ValueError,
+                             "mix must be in [0, 1], got 2.0"),
 }
 
 

@@ -35,10 +35,12 @@ from weakrig.rigidity import rigid_motions
 from conftest import (
     RHOMBUS_POS,
     TRIANGLE_POS,
+    exact_rank,
     full_svd_minimality,
     random_framework,
     random_positions,
     rhombus_framework,
+    spare_edge_framework,
 )
 
 
@@ -452,6 +454,15 @@ class TestMinimality:
         result = is_minimally_weakly_rigid(extra)
         assert not result.minimal and result.witness == ("cosine", (0, 1, 2))
 
+    def test_spare_rows_none_of_which_can_go_alone_are_not_minimal(self):
+        # Five rows at rank 3, the required rank; at a cut of 0.037 each drop loses rank.
+        g = Graph(3, ((0, 1), (0, 2)), ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+        f = Framework(g, 2, np.array([[-2.7, 2.9], [1.8, 1.5], [0.1, 2.7]]))
+        R = weak_rigidity_matrix(f).matrix
+        assert classify_infinitesimal_weak_rigidity(f, 0.037).rank == 3
+        assert all(numerical_rank(np.delete(R, row, 0), 0.037) == 2 for row in range(5))
+        assert _verdict(is_minimally_weakly_rigid(f, 0.037)) == (False, "removable constraint", None)
+
     def test_not_rigid_reason(self):
         rng = np.random.default_rng(83)
         f = Framework(build_graph(3, edges=[(0, 1), (1, 2)]), 2, random_positions(rng, 3))
@@ -532,6 +543,13 @@ class TestMinimalityAgainstExhaustiveOracle:
         result = is_minimally_weakly_rigid(f)
         assert _verdict(result) == _verdict(exhaustive_minimality(f))
         assert result.witness == ("distance", (2, 3))
+        # A spare row, but at a cut of 7e-3 no angle of this triangle can go without
+        # losing rank: the lone edge, whose bar is one less, is the witness.
+        tri = Framework(Graph(3, ((0, 1),), ((0, 1, 2), (1, 0, 2), (2, 0, 1))), 2,
+                        np.array([[7.4, -5.1], [-0.6, -7.7], [1.4, -0.9]]))
+        result = is_minimally_weakly_rigid(tri, 7e-3)
+        assert _verdict(result) == _verdict(exhaustive_minimality(tri, 7e-3))
+        assert result.witness == ("distance", (0, 1))
 
     def test_edge_free_frameworks_use_rank_2n_minus_4(self):
         five_angles = rhombus_framework("f")
@@ -542,6 +560,20 @@ class TestMinimalityAgainstExhaustiveOracle:
         for f in (five_angles, four_angles):
             assert _verdict(is_minimally_weakly_rigid(f)) == _verdict(exhaustive_minimality(f))
         assert is_minimally_weakly_rigid(five_angles).witness[0] == "cosine"
+
+    def test_a_spare_constraint_at_the_required_rank_is_never_minimal(self, triangle_k3):
+        # One constraint more than the rank, which is the required rank, exactly as well.
+        grown = grow_random(triangle_k3, steps=27, rng_seed=1).final
+        added = Framework(Graph(grown.n, grown.graph.edges + ((19, 29),), grown.graph.angles),
+                          2, grown.positions)
+        cases = ((added, ("cosine", (1, 2, 3))), (spare_edge_framework(), ("distance", (0, 1))))
+        for f, witness in cases:
+            report = classify_infinitesimal_weak_rigidity(f)
+            assert report.rigid and f.graph.constraint_count == report.rank + 1
+            assert exact_rank(f) == report.rank
+            expected = (False, "removable constraint", witness)
+            result = is_minimally_weakly_rigid(f)
+            assert _verdict(result) == _verdict(exhaustive_minimality(f)) == expected
 
 
 CORPUS_KINDS = ("grown", "dropped", "added", "random-position", "lifted", "lone-edge")
@@ -599,7 +631,10 @@ class TestMinimalityAgainstFullSvd:
     @given(kind=st.sampled_from(CORPUS_KINDS), seed=st.integers(0, 2**32 - 1))
     def test_same_verdict_and_witness(self, kind, seed):
         f = corpus_framework(kind, seed)
-        assert _outcome(is_minimally_weakly_rigid, f) == _outcome(full_svd_minimality, f)
+        outcome = _outcome(is_minimally_weakly_rigid, f)
+        assert outcome == _outcome(full_svd_minimality, f)
+        if isinstance(outcome, tuple) and outcome[0]:  # minimal: as many constraints as rank
+            assert f.graph.constraint_count == classify_infinitesimal_weak_rigidity(f).required_rank
 
     def test_corpus_reaches_every_answer(self):
         answers = set()
